@@ -133,7 +133,7 @@ pub fn classify(rel_path: &str) -> FileClass {
         Role::Example
     } else if p.starts_with("crates/shims/") {
         Role::Shim
-    } else if p.starts_with("crates/bench/") {
+    } else if p.starts_with("crates/bench/") || p.starts_with("perfbench/") {
         Role::Bench
     } else if p.starts_with("crates/lint/") {
         Role::Tooling
@@ -725,6 +725,7 @@ mod tests {
         assert_eq!(classify("crates/sim/src/cache.rs").role, Role::Modeled);
         assert_eq!(classify("src/lib.rs").role, Role::Modeled);
         assert_eq!(classify("crates/bench/src/cli.rs").role, Role::Bench);
+        assert_eq!(classify("perfbench/src/pass.rs").role, Role::Bench);
         assert_eq!(
             classify("crates/bench/benches/dmu_ops.rs").role,
             Role::Bench

@@ -50,6 +50,7 @@
 
 use serde::Serialize;
 use tdm_core::config::DmuConfig;
+use tdm_core::ids::DepDirection;
 use tdm_sim::cache::LocalityModel;
 use tdm_sim::clock::Cycle;
 use tdm_sim::config::ChipConfig;
@@ -1144,6 +1145,9 @@ fn run_core<F: TaskFeed>(
     // (with the successor count its re-issue must carry), the core it
     // failed on, and the engine's failure-path cost.
     let mut fail_events: Vec<(RunningTask, usize, Cycle)> = Vec::new();
+    // The `(addr, size)` blocks of the task being dispatched, refilled for
+    // the locality probe and the read and write records.
+    let mut blocks: Vec<(u64, u64)> = Vec::new();
     let mut next_create = 0usize;
     let mut finished = 0usize;
     let mut peak_resident = feed.resident();
@@ -1278,10 +1282,6 @@ fn run_core<F: TaskFeed>(
         create_ready.clear();
         fail_events.clear();
         let mut master_plan = MasterPlan::None;
-        // Set when the master's own task failed this batch: the cycle its
-        // creation attempt is pushed back to (engine failure path plus
-        // detection latency), standing in for the finish-cost path below.
-        let mut master_fail_cost: Option<Cycle> = None;
 
         let master_pos = batch.iter().position(|&c| c == master);
         let split = master_pos.map_or(batch.len(), |pos| pos + 1);
@@ -1290,34 +1290,26 @@ fn run_core<F: TaskFeed>(
                 continue;
             }
             if let Some(rt) = running[core].take() {
-                // Completion boundary: decide transient failure (the task's
-                // result is lost, it must re-run) and sticky core retirement
-                // (this completion is the core's last). Both are pure draws
-                // keyed on stable identities, so the decisions are identical
-                // across backends, schedulers and resume.
-                let completion = fault_state.record_completion(core);
-                let failed = fault_plan.as_ref().is_some_and(|plan| {
-                    plan.should_fail(rt.task, fault_state.failure_count(rt.task))
-                });
-                if failed {
+                // Completion boundary: transient failure (the result is lost
+                // and the task must re-run), then sticky core retirement.
+                // Both are pure draws keyed on stable identities, so the
+                // decisions are identical across backends, schedulers and
+                // resume.
+                if fault_state.complete(fault_plan.as_ref(), rt.task, core, core != master) {
                     let cost = engine.fail_task(now, rt.task, core);
-                    if core == master {
-                        let detect = fault_plan
-                            .as_ref()
-                            .map_or(Cycle::ZERO, |plan| plan.config().detect_cost);
-                        master_fail_cost = Some(cost + detect);
-                    }
                     fail_events.push((rt, core, cost));
                 } else {
                     fin_tasks.push((rt.task, core));
                 }
-                if let Some(plan) = &fault_plan {
-                    if core != master && plan.should_retire(core, completion) {
-                        fault_state.retire(core);
-                    }
-                }
             }
         }
+        // Set when the master's own task failed this batch: the cycle its
+        // creation attempt is pushed back to (engine failure path plus
+        // detection latency), standing in for the finish-cost path below.
+        let master_fail_cost = fault_plan.as_ref().and_then(|plan| {
+            let &(_, _, cost) = fail_events.iter().find(|&&(_, core, _)| core == master)?;
+            Some(cost + plan.config().detect_cost)
+        });
         engine.finish_batch(
             now,
             &fin_tasks,
@@ -1373,20 +1365,11 @@ fn run_core<F: TaskFeed>(
                     continue;
                 }
                 if let Some(rt) = running[core].take() {
-                    let completion = fault_state.record_completion(core);
-                    let failed = fault_plan.as_ref().is_some_and(|plan| {
-                        plan.should_fail(rt.task, fault_state.failure_count(rt.task))
-                    });
-                    if failed {
+                    if fault_state.complete(fault_plan.as_ref(), rt.task, core, true) {
                         let cost = engine.fail_task(now, rt.task, core);
                         fail_events.push((rt, core, cost));
                     } else {
                         fin_tasks.push((rt.task, core));
-                    }
-                    if let Some(plan) = &fault_plan {
-                        if plan.should_retire(core, completion) {
-                            fault_state.retire(core);
-                        }
                     }
                 }
             }
@@ -1584,16 +1567,19 @@ fn run_core<F: TaskFeed>(
                 t += pick_cost;
 
                 let spec = feed.spec(entry.task);
-                let working_set = spec.working_set();
-                let hit_fraction = locality.probe(core, &working_set).hit_fraction();
+                blocks.clear();
+                blocks.extend(spec.blocks(|_| true));
+                let hit_fraction = locality.probe(core, &blocks).hit_fraction();
                 let locality_factor = 1.0 - locality_benefit * hit_fraction;
                 let duration = spec
                     .duration
                     .scaled_f64(locality_factor * jitter_for(entry.task));
-                let reads = spec.read_set();
-                let writes = spec.write_set();
-                locality.record_reads(core, &reads);
-                locality.record_writes(core, &writes);
+                blocks.clear();
+                blocks.extend(spec.blocks(DepDirection::reads));
+                locality.record_reads(core, &blocks);
+                blocks.clear();
+                blocks.extend(spec.blocks(DepDirection::writes));
+                locality.record_writes(core, &blocks);
 
                 stats.cores[core].add(Phase::Exec, duration);
                 running[core] = Some(RunningTask {

@@ -269,7 +269,8 @@ impl Persist for RetryEntry {
 /// snapshot section is deterministic either way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultState {
-    /// Injected-failure count per task index; only nonzero counts are kept.
+    /// Injected-failure count per task index, for tasks that have failed
+    /// and not yet completed; only nonzero counts are kept.
     failures: FastMap<usize, u32>,
     /// Completion boundaries each core has reached (indexes the retirement
     /// draw stream).
@@ -329,6 +330,38 @@ impl FaultState {
         let count = self.failures.entry(task.index()).or_insert(0);
         *count += 1;
         *count
+    }
+
+    /// The completion boundary of `task` on `core`: advances the core's
+    /// completion counter, then, under `plan`, draws whether this attempt
+    /// failed and whether the core retires (only if `may_retire`; the
+    /// master is exempt). Returns whether the attempt failed, which is
+    /// never the case without a plan.
+    ///
+    /// A task that completes without failing has its failure count
+    /// dropped. The count is read only here, for a task about to complete,
+    /// and a completed task never runs again, so no decision changes; it
+    /// keeps `failures` (and the FAULT section) bounded by the tasks in
+    /// flight instead of growing with every task that ever failed.
+    pub fn complete(
+        &mut self,
+        plan: Option<&FaultPlan>,
+        task: TaskRef,
+        core: usize,
+        may_retire: bool,
+    ) -> bool {
+        let completion = self.record_completion(core);
+        let Some(plan) = plan else {
+            return false;
+        };
+        let failed = plan.should_fail(task, self.failure_count(task));
+        if !failed {
+            self.failures.remove(&task.index());
+        }
+        if may_retire && plan.should_retire(core, completion) {
+            self.retire(core);
+        }
+        failed
     }
 
     /// Marks `core` as retired (sticky fault).
@@ -547,6 +580,35 @@ mod tests {
         assert_eq!(state.record_failure(TaskRef(9)), 2);
         assert_eq!(state.failure_count(TaskRef(9)), 2);
         assert_eq!(state.failure_count(TaskRef(8)), 0);
+        assert_eq!(state.faults_injected, 2);
+    }
+
+    #[test]
+    fn completion_drops_the_count_only_of_a_task_that_succeeds() {
+        let capped = FaultPlan::new(
+            7,
+            FaultConfig::default()
+                .with_fault_rate(1.0)
+                .with_max_faults_per_task(2)
+                .with_core_fault_rate(1.0),
+        );
+        let mut state = FaultState::new(4);
+        // Without a plan nothing fails and only the counter moves.
+        assert!(!state.complete(None, TaskRef(9), 1, true));
+        assert_eq!(state.record_completion(1), 1);
+        assert!(!state.is_retired(1));
+        // Under the cap the attempt fails and the count is kept; the
+        // master-exempt flag spares core 0 and retires core 2.
+        state.record_failure(TaskRef(9));
+        assert!(state.complete(Some(&capped), TaskRef(9), 0, false));
+        assert!(!state.is_retired(0));
+        state.record_failure(TaskRef(9));
+        assert_eq!(state.failure_count(TaskRef(9)), 2);
+        // At the cap it succeeds: the count goes, the fault counter stays.
+        assert!(!state.complete(Some(&capped), TaskRef(9), 2, true));
+        assert!(state.is_retired(2));
+        assert_eq!(state.failure_count(TaskRef(9)), 0);
+        assert!(state.failures.is_empty());
         assert_eq!(state.faults_injected, 2);
     }
 

@@ -100,25 +100,30 @@ impl TaskSpec {
     /// The task's working set as `(address, bytes)` pairs, for the locality
     /// model.
     pub fn working_set(&self) -> Vec<(u64, u64)> {
-        self.deps.iter().map(|d| (d.addr, d.size)).collect()
+        self.blocks(|_| true).collect()
     }
 
     /// Blocks the task reads.
     pub fn read_set(&self) -> Vec<(u64, u64)> {
-        self.deps
-            .iter()
-            .filter(|d| d.direction.reads())
-            .map(|d| (d.addr, d.size))
-            .collect()
+        self.blocks(DepDirection::reads).collect()
     }
 
     /// Blocks the task writes.
     pub fn write_set(&self) -> Vec<(u64, u64)> {
+        self.blocks(DepDirection::writes).collect()
+    }
+
+    /// The `(address, bytes)` pairs of the dependences whose direction
+    /// `keep` selects, in declaration order. The driver extends one reused
+    /// buffer from it instead of allocating a set per dispatch.
+    pub(crate) fn blocks(
+        &self,
+        keep: fn(DepDirection) -> bool,
+    ) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.deps
             .iter()
-            .filter(|d| d.direction.writes())
+            .filter(move |d| keep(d.direction))
             .map(|d| (d.addr, d.size))
-            .collect()
     }
 }
 

@@ -318,14 +318,74 @@ const fn crc32_table() -> [u32; 256] {
 
 const CRC32_TABLE: [u32; 256] = crc32_table();
 
-/// CRC-32 (IEEE) of `bytes`, as used for the per-section checksums.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+/// Slicing-by-16 tables: `slices[k][b]` is the CRC register contribution of
+/// byte `b` followed by `k` zero bytes, so slice 0 is [`CRC32_TABLE`] and
+/// sixteen lookups fold a whole 16-byte block.
+const fn crc32_slices() -> [[u32; 256]; 16] {
+    let mut slices = [CRC32_TABLE; 16];
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            // tdm-lint: allow(T1): `k < 16` and `i < 256` are the loop bounds of this table, and const fns cannot use iterators.
+            let prev = slices[k - 1][i];
+            // tdm-lint: allow(T1, C1): loop-bounded as above, and the inner index is masked to 8 bits.
+            slices[k][i] = (prev >> 8) ^ CRC32_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
+}
+
+const CRC32_SLICES: [[u32; 256]; 16] = crc32_slices();
+
+/// One table lookup by a byte.
+#[inline(always)]
+fn lookup(table: &[u32; 256], byte: u8) -> u32 {
+    // tdm-lint: allow(T1): a `u8` index is always inside a 256-entry table.
+    table[usize::from(byte)]
+}
+
+/// Advances the CRC register over `bytes` one table lookup per byte.
+fn crc32_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         // tdm-lint: allow(T1, C1): the index is masked to 8 bits, so both the 256-entry lookup and the usize cast are total.
         crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// CRC-32 (IEEE) of `bytes`, as used for the per-section checksums.
+///
+/// Slicing-by-16: each 16-byte block costs sixteen independent lookups
+/// instead of sixteen dependent ones; the tail shorter than a block goes
+/// through the byte-at-a-time loop. Same polynomial and same output as the
+/// byte-wise loop.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &CRC32_SLICES;
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    let mut crc = 0xFFFF_FFFFu32;
+    for &[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] in blocks {
+        let [c0, c1, c2, c3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        crc = lookup(t15, c0)
+            ^ lookup(t14, c1)
+            ^ lookup(t13, c2)
+            ^ lookup(t12, c3)
+            ^ lookup(t11, b4)
+            ^ lookup(t10, b5)
+            ^ lookup(t9, b6)
+            ^ lookup(t8, b7)
+            ^ lookup(t7, b8)
+            ^ lookup(t6, b9)
+            ^ lookup(t5, b10)
+            ^ lookup(t4, b11)
+            ^ lookup(t3, b12)
+            ^ lookup(t2, b13)
+            ^ lookup(t1, b14)
+            ^ lookup(t0, b15);
+    }
+    !crc32_bytewise(crc, tail)
 }
 
 // ---------------------------------------------------------------------------
@@ -800,6 +860,25 @@ mod tests {
         // The standard IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The sliced CRC against the byte-at-a-time reference: every length
+    /// 0..=300 at every start offset 0..16 (so blocks and tails land on
+    /// every alignment), plus one ~1 MB buffer.
+    #[test]
+    fn crc32_slicing_matches_bytewise_reference() {
+        let mut rng = crate::rng::SplitMix64::new(0xC2C3_2016);
+        let data: Vec<u8> = (0..(1 << 20) + 13)
+            .map(|_| rng.next_u64().to_le_bytes()[0])
+            .collect();
+        let reference = |bytes: &[u8]| !crc32_bytewise(0xFFFF_FFFF, bytes);
+        for offset in 0..16 {
+            for len in 0..=300 {
+                let bytes = &data[offset..offset + len];
+                assert_eq!(crc32(bytes), reference(bytes), "offset {offset} len {len}");
+            }
+        }
+        assert_eq!(crc32(&data), reference(&data));
     }
 
     #[test]

@@ -17,15 +17,23 @@
 //! * **retirement degrades gracefully** — with sticky core faults the
 //!   survivors (ultimately the exempt master) still drain the workload;
 //! * **resume is bit-exact through faults** — a run checkpointed between a
-//!   failure and its retry resumes to the uninterrupted run's report.
+//!   failure and its retry resumes to the uninterrupted run's report;
+//! * **the FAULT section is bounded by the window** — failure counts are
+//!   kept only for tasks not yet completed, and a stale count for a
+//!   finished task (as older snapshots carry) changes nothing on resume.
 
 use crate::common::{assert_is_permutation, small_benchmark_streams, small_benchmarks};
 use crate::{all_backends, conformance_config};
 use tdm::prelude::*;
 use tdm::runtime::exec::{
-    resume_outcome, simulate_checkpointed_outcome, simulate_stream, simulate_stream_outcome,
+    resume_outcome, resume_stream_outcome, simulate_checkpointed_outcome, simulate_stream,
+    simulate_stream_checkpointed_outcome, simulate_stream_outcome,
 };
-use tdm::sim::snapshot::Snapshot;
+use tdm::runtime::fault::RetryEntry;
+use tdm::runtime::task::TaskRef;
+use tdm::sim::snapshot::{section, to_payload, Persist, Reader, Snapshot};
+use tdm::workloads::cholesky;
+use tdm::workloads::stream::TaskStream;
 
 /// A fault schedule that exercises retries but can never abort: the
 /// per-task cap stays below the retry budget, so every faulted task
@@ -287,4 +295,139 @@ fn resume_refuses_diverging_fault_configuration() {
         err.to_string().contains("fault configuration"),
         "wrong error: {err}"
     );
+}
+
+/// The windowed, 30%-fault cholesky stream of the FAULT-footprint tests:
+/// hundreds of tasks fail over the run, far more than the 32-task window.
+fn faulted_window_run() -> (TaskStream, ExecConfig) {
+    let stream = cholesky::stream(cholesky::Params { blocks: 16 });
+    let config = conformance_config().with_window(32).with_faults(
+        FaultConfig::default()
+            .with_fault_rate(0.3)
+            .with_max_faults_per_task(2)
+            .with_retry_budget(8),
+    );
+    (stream, config)
+}
+
+/// Runs the faulted window stream checkpointed about every 1/64 of its
+/// makespan, returning the straight-through report and the snapshots.
+fn faulted_window_checkpoints() -> (RunReport, Vec<Snapshot>) {
+    let (mut stream, base) = faulted_window_run();
+    let straight = simulate_stream(
+        &mut stream,
+        &Backend::tdm_default(),
+        SchedulerKind::Fifo,
+        &base,
+    );
+    assert!(
+        straight.faults_injected > 4 * 32,
+        "only {} faults: too few to outgrow the window",
+        straight.faults_injected
+    );
+    let config = base.with_checkpoint_every(Cycle::new((straight.makespan().raw() / 64).max(1)));
+    let (mut stream, _) = faulted_window_run();
+    let mut snaps = Vec::new();
+    let outcome = simulate_stream_checkpointed_outcome(
+        &mut stream,
+        &Backend::tdm_default(),
+        SchedulerKind::Fifo,
+        &config,
+        &mut |snap| {
+            snaps.push(snap);
+            true
+        },
+    )
+    .expect("sink never halts");
+    assert_eq!(outcome, RunOutcome::Completed(straight.clone()));
+    assert!(snaps.len() > 16, "only {} checkpoints", snaps.len());
+    (straight, snaps)
+}
+
+/// `(created, finished)` from a snapshot's DRIVER section (layout in
+/// SNAPSHOT_FORMAT.md: running tasks, idle stamps and idle bitmap first).
+fn driver_progress(snap: &Snapshot) -> (usize, usize) {
+    let mut r = Reader::new(snap.section(section::DRIVER).expect("DRIVER"));
+    Vec::<Option<(TaskRef, u32)>>::load(&mut r).expect("running");
+    Vec::<Option<Cycle>>::load(&mut r).expect("idle_since");
+    Vec::<u64>::load(&mut r).expect("idle bitmap");
+    let created = usize::load(&mut r).expect("next_create");
+    let finished = usize::load(&mut r).expect("finished");
+    (created, finished)
+}
+
+/// A FAULT payload split into its failure-count list, its retry queue and
+/// the raw bytes that follow the failure counts.
+fn fault_section(snap: &Snapshot) -> (Vec<(u64, u32)>, Vec<RetryEntry>, Vec<u8>) {
+    let payload = snap.section(section::FAULT).expect("FAULT");
+    let mut r = Reader::new(payload);
+    let failures = Vec::<(u64, u32)>::load(&mut r).expect("failure counts");
+    let rest = r.take(r.remaining()).expect("rest").to_vec();
+    let mut r = Reader::new(&rest);
+    Vec::<u64>::load(&mut r).expect("completions");
+    Vec::<u64>::load(&mut r).expect("retired");
+    let retry_queue = Vec::<RetryEntry>::load(&mut r).expect("retry queue");
+    (failures, retry_queue, rest)
+}
+
+/// At every checkpoint of a windowed faulted stream, the FAULT section's
+/// failure counts cover at most the tasks in flight plus those waiting in
+/// the retry queue — never the hundreds of tasks that failed and have
+/// since completed.
+#[test]
+fn fault_section_is_bounded_by_tasks_in_flight() {
+    let (straight, snaps) = faulted_window_checkpoints();
+    let mut most = 0;
+    for (i, snap) in snaps.iter().enumerate() {
+        let (created, finished) = driver_progress(snap);
+        let (failures, retry_queue, _) = fault_section(snap);
+        let in_flight = created - finished;
+        assert!(
+            failures.len() <= in_flight + retry_queue.len(),
+            "checkpoint {i}: {} failure counts for {in_flight} tasks in flight and {} retries",
+            failures.len(),
+            retry_queue.len()
+        );
+        assert!(in_flight <= 32, "checkpoint {i}: window exceeded");
+        most = most.max(failures.len());
+    }
+    assert!(most > 0, "no checkpoint caught a failed task in flight");
+    assert!((most as u64) < straight.faults_injected);
+}
+
+/// A snapshot whose FAULT section still lists a finished task — what a
+/// snapshot written before counts were dropped on completion carries —
+/// loads and resumes bit-identical to the straight-through run.
+#[test]
+fn stale_finished_task_failure_count_resumes_identically() {
+    let (straight, snaps) = faulted_window_checkpoints();
+    let snap = &snaps[snaps.len() / 2];
+    let (_, finished) = driver_progress(snap);
+    assert!(finished > 0);
+    // The trace is in finish order, so its first task finished before
+    // this mid-run checkpoint.
+    let stale = straight.finish_order()[0].index() as u64;
+    let (mut failures, _, rest) = fault_section(snap);
+    assert!(failures.iter().all(|&(task, _)| task != stale));
+    failures.push((stale, 1));
+    failures.sort_unstable();
+    let mut fault = to_payload(&failures);
+    fault.extend_from_slice(&rest);
+
+    let mut tampered = Snapshot::new();
+    for id in snap.section_ids() {
+        let payload = if id == section::FAULT {
+            fault.clone()
+        } else {
+            snap.section(id).expect("listed section").to_vec()
+        };
+        tampered.add_section(id, payload);
+    }
+    let tampered = Snapshot::from_bytes(&tampered.to_bytes()).expect("codec round trip");
+    assert_ne!(&tampered, snap);
+
+    let (mut stream, config) = faulted_window_run();
+    let resumed =
+        resume_stream_outcome(&mut stream, &tampered, &config).expect("stale entry loads");
+    assert_eq!(resumed, RunOutcome::Completed(straight));
 }
