@@ -273,68 +273,15 @@ impl Scheduler for LifoScheduler {
 /// Locality-aware scheduler (Section VI): when a task finishes on a core and
 /// one of its successors is ready, that successor is executed on the same
 /// core; otherwise the oldest ready task is used.
-///
-/// Both picks are O(1) amortized. Entries sit in push-ordered slots, and a
-/// slot is tombstoned when its entry leaves out of order. Each producer core
-/// keeps a queue of the push sequence numbers of the entries it readied. An
-/// entry popped through the oldest-first fallback leaves its number behind
-/// in its producer's queue. That core skips such stale numbers lazily on its
-/// next pop. When tombstones and stale numbers together outgrow the live
-/// entries (a retired core never pops again), the pool is rebuilt from its
-/// live entries, which keeps it linear in the live count.
 #[derive(Debug, Clone, Default)]
 pub struct LocalityScheduler {
-    /// Entries in push order; `slots[i]` has push sequence number
-    /// `base + i`, and `None` is an entry already popped out of order.
-    slots: VecDeque<Option<ReadyEntry>>,
-    /// Push sequence number of `slots[0]`.
-    base: usize,
-    /// Live entries in `slots`.
-    len: usize,
-    /// Per producer core, the push sequence numbers of the entries it
-    /// readied, ascending; may include stale numbers of entries already
-    /// popped through the fallback.
-    by_producer: Vec<VecDeque<usize>>,
-    /// Sequence numbers held across `by_producer`, stale ones included.
-    queued: usize,
-    /// Live entries that have a producer core.
-    owned: usize,
+    queue: VecDeque<ReadyEntry>,
 }
 
 impl LocalityScheduler {
-    /// Garbage (tombstones plus stale sequence numbers) tolerated beyond the
-    /// live entry count before the pool is rebuilt.
-    const SLACK: usize = 64;
-
     /// Creates an empty locality-aware pool.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Takes the entry with push sequence number `seq`, if it is still live.
-    fn take(&mut self, seq: usize) -> Option<ReadyEntry> {
-        let slot = self.slots.get_mut(seq.checked_sub(self.base)?)?;
-        slot.take()
-    }
-
-    /// Bookkeeping after `entry` left the pool: trims leading tombstones and
-    /// rebuilds once garbage outgrows the live entries.
-    fn removed(&mut self, entry: ReadyEntry) -> ReadyEntry {
-        self.len -= 1;
-        if entry.producer_core.is_some() {
-            self.owned -= 1;
-        }
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        let garbage = (self.slots.len() - self.len) + (self.queued - self.owned);
-        if garbage > self.len + Self::SLACK {
-            let live = std::mem::take(&mut self.slots);
-            *self = Self::default();
-            live.into_iter().flatten().for_each(|e| self.push(e));
-        }
-        entry
     }
 }
 
@@ -344,48 +291,30 @@ impl Scheduler for LocalityScheduler {
     }
 
     fn push(&mut self, entry: ReadyEntry) {
-        if let Some(core) = entry.producer_core {
-            if self.by_producer.len() <= core {
-                self.by_producer.resize_with(core + 1, VecDeque::new);
-            }
-            self.by_producer[core].push_back(self.base + self.slots.len());
-            self.queued += 1;
-            self.owned += 1;
-        }
-        self.slots.push_back(Some(entry));
-        self.len += 1;
+        self.queue.push_back(entry);
     }
 
     fn pop(&mut self, core: usize) -> Option<ReadyEntry> {
-        while let Some(seq) = self.by_producer.get_mut(core).and_then(VecDeque::pop_front) {
-            self.queued -= 1;
-            if let Some(entry) = self.take(seq) {
-                return Some(self.removed(entry));
-            }
+        if let Some(pos) = self
+            .queue
+            .iter()
+            .position(|e| e.producer_core == Some(core))
+        {
+            return self.queue.remove(pos);
         }
-        let entry = self.slots.pop_front()??;
-        self.base += 1;
-        Some(self.removed(entry))
+        self.queue.pop_front()
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.queue.len()
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        // The ready queue as `SNAPSHOT_FORMAT.md` lays it out: a `u64`
-        // count, then the live entries in push order.
-        (self.len as u64).save(out);
-        for entry in self.slots.iter().flatten() {
-            entry.save(out);
-        }
+        self.queue.save(out);
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        *self = Self::default();
-        for entry in VecDeque::<ReadyEntry>::load(r)? {
-            self.push(entry);
-        }
+        self.queue = VecDeque::load(r)?;
         Ok(())
     }
 }
@@ -770,89 +699,6 @@ mod tests {
         assert_eq!(s.pop(3).unwrap().task, TaskRef(2));
     }
 
-    /// The retired scan-based Locality pool, kept as the lockstep reference
-    /// for [`LocalityScheduler`].
-    #[derive(Default)]
-    struct NaiveLocalityScheduler {
-        queue: VecDeque<ReadyEntry>,
-    }
-
-    impl NaiveLocalityScheduler {
-        fn pop(&mut self, core: usize) -> Option<ReadyEntry> {
-            if let Some(pos) = self
-                .queue
-                .iter()
-                .position(|e| e.producer_core == Some(core))
-            {
-                return self.queue.remove(pos);
-            }
-            self.queue.pop_front()
-        }
-    }
-
-    /// Lockstep-randomized equivalence: the tombstone pool against the
-    /// scan, under root and produced pushes, own-successor and fallback
-    /// pops, cores that produce but never pop again (their stale numbers
-    /// must be compacted), and save/load mid-flight. The saved bytes must
-    /// match the plain queue's, since they are the SCHEDULER section.
-    #[test]
-    fn locality_pool_matches_naive_scan_in_lockstep() {
-        use tdm_sim::rng::SplitMix64;
-
-        for seed in 0..12u64 {
-            let mut rng = SplitMix64::new(seed ^ 0x10CA);
-            let mut pool = LocalityScheduler::new();
-            let mut naive = NaiveLocalityScheduler::default();
-            let cores = 2 + rng.next_below(7) as usize;
-            for step in 0..4000usize {
-                // Alternate push-heavy phases (deep pools, long scans) with
-                // pop-heavy ones (near-empty pools, where stale numbers
-                // outnumber live entries).
-                let pushes = if (step / 500) % 2 == 0 { 6 } else { 3 };
-                match rng.next_below(10) {
-                    // Push: a root task, or one readied by a core — cores
-                    // at or above `cores` produce but never pop.
-                    draw if draw < pushes => {
-                        let producer = match rng.next_below(4) {
-                            0 => None,
-                            _ => Some(rng.next_below(cores as u64 + 2) as usize),
-                        };
-                        let e = entry(step, step, 0, producer);
-                        pool.push(e);
-                        naive.queue.push_back(e);
-                    }
-                    // Save/load round trip: identical bytes, identical pool.
-                    9 if rng.next_below(16) == 0 => {
-                        let (mut a, mut b) = (Vec::new(), Vec::new());
-                        pool.save_state(&mut a);
-                        naive.queue.save(&mut b);
-                        assert_eq!(a, b, "seed {seed} step {step}: saved bytes");
-                        pool = LocalityScheduler::new();
-                        pool.load_state(&mut Reader::new(&a)).unwrap();
-                    }
-                    _ => {
-                        let core = rng.next_below(cores as u64) as usize;
-                        assert_eq!(pool.pop(core), naive.pop(core), "seed {seed} step {step}");
-                    }
-                }
-                assert_eq!(pool.len(), naive.queue.len(), "seed {seed} step {step}");
-                let held = pool.slots.len() + pool.queued;
-                assert!(
-                    held <= 3 * pool.len() + 2 * LocalityScheduler::SLACK + 2,
-                    "seed {seed} step {step}: {held} slots and numbers for {} entries",
-                    pool.len()
-                );
-            }
-            for core in (0..cores).cycle() {
-                let (a, b) = (pool.pop(core), naive.pop(core));
-                assert_eq!(a, b, "seed {seed} drain");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
     #[test]
     fn locality_falls_back_to_fifo_for_root_tasks() {
         let mut s = LocalityScheduler::new();
@@ -860,6 +706,26 @@ mod tests {
         s.push(entry(1, 1, 0, None));
         assert_eq!(s.pop(0).unwrap().task, TaskRef(0));
         assert_eq!(s.pop(0).unwrap().task, TaskRef(1));
+    }
+
+    /// A SCHEDULER section naming producer cores no chip has loads without
+    /// sizing anything by them, and those entries are reached by the
+    /// oldest-first fallback.
+    #[test]
+    fn locality_loads_hostile_producer_cores() {
+        let mut bytes = Vec::new();
+        VecDeque::from([
+            entry(0, 0, 0, Some(usize::MAX)),
+            entry(1, 1, 0, Some(1 << 40)),
+            entry(2, 2, 0, Some(1)),
+        ])
+        .save(&mut bytes);
+        let mut s = LocalityScheduler::new();
+        s.load_state(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(s.pop(1).unwrap().task, TaskRef(2));
+        assert_eq!(s.pop(0).unwrap().task, TaskRef(0));
+        assert_eq!(s.pop(0).unwrap().task, TaskRef(1));
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -371,24 +371,45 @@ fn fault_section(snap: &Snapshot) -> (Vec<(u64, u32)>, Vec<RetryEntry>, Vec<u8>)
 }
 
 /// At every checkpoint of a windowed faulted stream, the FAULT section's
-/// failure counts cover at most the tasks in flight plus those waiting in
-/// the retry queue — never the hundreds of tasks that failed and have
-/// since completed.
+/// failure counts cover only tasks created and not yet finished (those
+/// waiting in the retry queue included) — never the hundreds of tasks that
+/// failed and have since completed.
 #[test]
 fn fault_section_is_bounded_by_tasks_in_flight() {
     let (straight, snaps) = faulted_window_checkpoints();
+    let finish_order = straight.finish_order();
     let mut most = 0;
     for (i, snap) in snaps.iter().enumerate() {
         let (created, finished) = driver_progress(snap);
         let (failures, retry_queue, _) = fault_section(snap);
         let in_flight = created - finished;
         assert!(
-            failures.len() <= in_flight + retry_queue.len(),
-            "checkpoint {i}: {} failure counts for {in_flight} tasks in flight and {} retries",
-            failures.len(),
-            retry_queue.len()
+            failures.len() <= in_flight,
+            "checkpoint {i}: {} failure counts for {in_flight} tasks in flight",
+            failures.len()
         );
         assert!(in_flight <= 32, "checkpoint {i}: window exceeded");
+        // The trace is in finish order and a checkpoint falls between
+        // batches, so its first `finished` tasks are exactly the finished
+        // ones; none of them may keep a count.
+        let done: std::collections::HashSet<u64> = finish_order[..finished]
+            .iter()
+            .map(|t| t.index() as u64)
+            .collect();
+        for &(task, _) in &failures {
+            assert!(
+                (task as usize) < created && !done.contains(&task),
+                "checkpoint {i}: count kept for task {task}, which is not in flight"
+            );
+        }
+        // A task waiting to retry has failed, so it keeps its count.
+        for retry in &retry_queue {
+            let task = retry.task.index() as u64;
+            assert!(
+                failures.iter().any(|&(t, n)| t == task && n > 0),
+                "checkpoint {i}: task {task} waits to retry without a count"
+            );
+        }
         most = most.max(failures.len());
     }
     assert!(most > 0, "no checkpoint caught a failed task in flight");
