@@ -11,8 +11,9 @@
 //!   bit-identical `RunReport`s for every cell;
 //! * **resume identity** — one rotating cell per case is checkpointed at
 //!   quarter-makespan intervals (every snapshot pushed through the binary
-//!   codec) and resumed from each checkpoint, eager and streaming, with
-//!   bit-identical reports;
+//!   codec) and resumed from each checkpoint, both over the materialised
+//!   workload (replayed through `WorkloadSource`) and over the generator
+//!   stream, with bit-identical reports;
 //! * **windowed validity** — one rotating cell per case replays through a
 //!   tight master window and must still conform and bound residency;
 //! * **trace round-trip** — the case dumps to a `tdmtrace v1` file that
@@ -48,12 +49,13 @@ use std::process::ExitCode;
 use tdm_bench::cli::{self, Args};
 use tdm_bench::sweep::point_seed;
 use tdm_runtime::exec::{
-    resume, resume_outcome, resume_stream, simulate, simulate_checkpointed,
-    simulate_checkpointed_outcome, simulate_outcome, simulate_stream, simulate_stream_checkpointed,
-    simulate_stream_outcome, Backend, ExecConfig, RunOutcome, RunReport,
+    resume_stream_outcome, simulate, simulate_outcome, simulate_stream,
+    simulate_stream_checkpointed_outcome, simulate_stream_outcome, Backend, ExecConfig, RunOutcome,
+    RunReport,
 };
 use tdm_runtime::fault::FaultConfig;
 use tdm_runtime::scheduler::SchedulerKind;
+use tdm_runtime::stream::{TaskSource, WorkloadSource};
 use tdm_runtime::task::{TaskRef, Workload};
 use tdm_runtime::tdg::TaskGraph;
 use tdm_runtime::trace::{self, TraceSource};
@@ -277,6 +279,57 @@ fn outcome_diff(eager: &RunOutcome, streamed: &RunOutcome) -> Option<&'static st
     }
 }
 
+/// Checkpoints a run over `source()` at every `ckpt_config` interval, each
+/// snapshot pushed through the binary codec, then resumes a fresh
+/// `source()` from every checkpoint. The checkpointed run and every resume
+/// must reproduce `straight`, the uninterrupted streaming run, bit for bit.
+/// Returns the simulations executed.
+fn check_resume<S: TaskSource>(
+    source: impl Fn() -> S,
+    backend: &Backend,
+    scheduler: SchedulerKind,
+    ckpt_config: &ExecConfig,
+    straight: &RunOutcome,
+    context: &str,
+) -> Result<usize, String> {
+    let mut snaps: Vec<Snapshot> = Vec::new();
+    let mut codec_err: Option<String> = None;
+    let checkpointed = simulate_stream_checkpointed_outcome(
+        &mut source(),
+        backend,
+        scheduler,
+        ckpt_config,
+        &mut |snap| match Snapshot::from_bytes(&snap.to_bytes()) {
+            Ok(snap) => {
+                snaps.push(snap);
+                true
+            }
+            Err(e) => {
+                codec_err = Some(e.to_string());
+                false
+            }
+        },
+    );
+    if let Some(e) = codec_err {
+        return Err(format!("{context}: snapshot codec round trip failed: {e}"));
+    }
+    let checkpointed = checkpointed.ok_or_else(|| format!("{context}: sink halted the run"))?;
+    if checkpointed != *straight {
+        return Err(format!("{context}: capture perturbed the run"));
+    }
+    if snaps.is_empty() {
+        return Err(format!("{context}: no checkpoints captured"));
+    }
+    for (i, snap) in snaps.iter().enumerate() {
+        let resumed = resume_stream_outcome(&mut source(), snap, ckpt_config)
+            .map_err(|e| format!("{context}: checkpoint {i}: {e}"))?;
+        if resumed != *straight {
+            return Err(format!("{context}: resume from checkpoint {i} diverged"));
+        }
+    }
+    Ok(1 + snaps.len())
+}
+
 /// Runs the full differential contract on one spec. Returns the number of
 /// simulations executed, or the first failure. `fault`, when set, adds the
 /// fault leg on the rotating cell.
@@ -314,8 +367,9 @@ fn check_case(spec: &GrammarSpec, fault: Option<&FaultConfig>) -> Result<usize, 
         }
     }
 
-    // Resume identity on the rotating cell: eager and streaming, every
-    // checkpoint through the binary codec.
+    // Resume identity on the rotating cell: over the materialised workload
+    // and over the generator stream, every checkpoint through the binary
+    // codec.
     let context = format!(
         "{} with {} (resume)",
         cell_backend.name(),
@@ -325,73 +379,26 @@ fn check_case(spec: &GrammarSpec, fault: Option<&FaultConfig>) -> Result<usize, 
     let ckpt_config = config
         .clone()
         .with_checkpoint_every(quarter_interval(&straight));
-    let mut snaps: Vec<Snapshot> = Vec::new();
-    let mut codec_err: Option<String> = None;
-    let checkpointed = simulate_checkpointed(
-        &workload,
-        cell_backend,
-        cell_scheduler,
-        &ckpt_config,
-        &mut |snap| match Snapshot::from_bytes(&snap.to_bytes()) {
-            Ok(snap) => {
-                snaps.push(snap);
-                true
-            }
-            Err(e) => {
-                codec_err = Some(e.to_string());
-                false
-            }
-        },
-    );
-    if let Some(e) = codec_err {
-        return Err(format!("{context}: snapshot codec round trip failed: {e}"));
-    }
-    let checkpointed = checkpointed.ok_or_else(|| format!("{context}: sink halted the run"))?;
-    sims += 2;
-    if checkpointed != straight {
-        return Err(format!("{context}: capture perturbed the run"));
-    }
-    if snaps.is_empty() {
-        return Err(format!("{context}: no checkpoints captured"));
-    }
-    for (i, snap) in snaps.iter().enumerate() {
-        let resumed = resume(&workload, snap, &ckpt_config)
-            .map_err(|e| format!("{context}: checkpoint {i}: {e}"))?;
-        sims += 1;
-        if resumed != straight {
-            return Err(format!("{context}: resume from checkpoint {i} diverged"));
-        }
-    }
     let mut stream = spec.stream();
     let streamed_straight = simulate_stream(&mut stream, cell_backend, cell_scheduler, &config);
-    let mut snaps: Vec<Snapshot> = Vec::new();
-    let mut stream = spec.stream();
-    let streamed_ckpt = simulate_stream_checkpointed(
-        &mut stream,
+    sims += 2;
+    let expected = RunOutcome::Completed(streamed_straight.clone());
+    sims += check_resume(
+        || WorkloadSource::new(&workload),
         cell_backend,
         cell_scheduler,
         &ckpt_config,
-        &mut |snap| {
-            snaps.push(snap);
-            true
-        },
-    )
-    .ok_or_else(|| format!("{context}: streaming sink halted the run"))?;
-    sims += 2;
-    if streamed_ckpt != streamed_straight {
-        return Err(format!("{context}: streaming capture perturbed the run"));
-    }
-    for (i, snap) in snaps.iter().enumerate() {
-        let mut fresh = spec.stream();
-        let resumed = resume_stream(&mut fresh, snap, &ckpt_config)
-            .map_err(|e| format!("{context}: streaming checkpoint {i}: {e}"))?;
-        sims += 1;
-        if resumed != streamed_straight {
-            return Err(format!(
-                "{context}: streaming resume from checkpoint {i} diverged"
-            ));
-        }
-    }
+        &expected,
+        &context,
+    )?;
+    sims += check_resume(
+        || spec.stream(),
+        cell_backend,
+        cell_scheduler,
+        &ckpt_config,
+        &expected,
+        &format!("{context} (stream)"),
+    )?;
 
     // Windowed validity on the rotating cell: a tight master window must
     // still conform and bound residency (identity is not expected — the
@@ -485,43 +492,14 @@ fn check_case(spec: &GrammarSpec, fault: Option<&FaultConfig>) -> Result<usize, 
         let ckpt_config = fault_config
             .clone()
             .with_checkpoint_every(quarter_interval(report));
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let mut codec_err: Option<String> = None;
-        let checkpointed = simulate_checkpointed_outcome(
-            &workload,
+        sims += check_resume(
+            || WorkloadSource::new(&workload),
             cell_backend,
             cell_scheduler,
             &ckpt_config,
-            &mut |snap| match Snapshot::from_bytes(&snap.to_bytes()) {
-                Ok(snap) => {
-                    snaps.push(snap);
-                    true
-                }
-                Err(e) => {
-                    codec_err = Some(e.to_string());
-                    false
-                }
-            },
-        );
-        if let Some(e) = codec_err {
-            return Err(format!("{context}: snapshot codec round trip failed: {e}"));
-        }
-        let checkpointed = checkpointed.ok_or_else(|| format!("{context}: sink halted the run"))?;
-        sims += 1;
-        if checkpointed != eager {
-            return Err(format!("{context}: capture perturbed the run"));
-        }
-        if snaps.is_empty() {
-            return Err(format!("{context}: no checkpoints captured"));
-        }
-        for (i, snap) in snaps.iter().enumerate() {
-            let resumed = resume_outcome(&workload, snap, &ckpt_config)
-                .map_err(|e| format!("{context}: checkpoint {i}: {e}"))?;
-            sims += 1;
-            if resumed != eager {
-                return Err(format!("{context}: resume from checkpoint {i} diverged"));
-            }
-        }
+            &streamed,
+            &context,
+        )?;
     }
 
     Ok(sims)

@@ -46,7 +46,8 @@ use std::time::Instant;
 use tdm_bench::cli::{self, Args};
 use tdm_bench::standard_config;
 use tdm_runtime::exec::{
-    resume_stream, simulate, simulate_stream, simulate_stream_checkpointed, Backend, ExecConfig,
+    resume_stream_outcome, simulate, simulate_stream, simulate_stream_checkpointed_outcome,
+    Backend, ExecConfig, RunOutcome, RunReport,
 };
 use tdm_runtime::fault::FaultConfig;
 use tdm_runtime::scheduler::SchedulerKind;
@@ -195,7 +196,7 @@ fn scaled_run(
         let extra = bench_section(bench, options);
         let mut count = 0usize;
         let mut sink_error: Option<String> = None;
-        let outcome = simulate_stream_checkpointed(
+        let outcome = simulate_stream_checkpointed_outcome(
             &mut stream,
             &options.backend,
             SchedulerKind::Fifo,
@@ -217,7 +218,7 @@ fn scaled_run(
             return Err(e);
         }
         match outcome {
-            Some(report) => report,
+            Some(outcome) => completed(outcome)?,
             None => {
                 println!(
                     "halted {} at checkpoint {count}; resume with: bench_scale resume \
@@ -392,6 +393,17 @@ fn verify() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The report of a completed run; an abort on an exhausted retry budget is
+/// an error naming the task.
+fn completed(outcome: RunOutcome) -> Result<RunReport, String> {
+    match outcome {
+        RunOutcome::Completed(report) => Ok(report),
+        RunOutcome::Aborted { task, attempts, .. } => Err(format!(
+            "run aborted: {task} exhausted its retry budget after {attempts} failed attempts"
+        )),
+    }
+}
+
 /// Resumes a halted checkpointed run from its snapshot file and drives it to
 /// completion; with `verify_against_straight` it also replays the run
 /// uninterrupted and fails unless the two reports are bit-identical.
@@ -416,7 +428,8 @@ fn resume_mode(checkpoint_file: &str, verify_against_straight: bool) -> Result<E
     };
     let mut stream = bench.scaled_stream(tasks);
     let start = Instant::now();
-    let report = resume_stream(&mut stream, &snap, &config).map_err(|e| e.to_string())?;
+    let report =
+        completed(resume_stream_outcome(&mut stream, &snap, &config).map_err(|e| e.to_string())?)?;
     let wall = start.elapsed().as_secs_f64();
     println!(
         "resumed {} from {}: {} tasks total, makespan {} cycles, {:.0} tasks/sec \

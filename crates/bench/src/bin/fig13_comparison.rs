@@ -19,7 +19,7 @@ use tdm_runtime::exec::Backend;
 use tdm_runtime::scheduler::SchedulerKind;
 
 /// Evaluates the energy of a sweep point's run (the DMU geometry comes from
-/// the point's backend via [`dmu_of`], exactly like `run_with_energy`).
+/// the point's backend via [`dmu_of`]).
 fn energy_of(result: &SweepResult, backend: &Backend) -> EnergyReport {
     evaluate(
         &result.report,

@@ -10,9 +10,10 @@
 //! ```
 //!
 //! This library holds the pieces the binaries share: the benchmark suite
-//! iteration, the standard experiment configuration, the "best scheduler per
-//! application" selection used by OptSW / OptTDM, and small formatting
-//! helpers.
+//! iteration, the standard experiment configuration, the energy-model
+//! parameters, and small formatting helpers. (fig12/fig13 select the best
+//! scheduler per application for OptSW / OptTDM themselves, from the
+//! sweep's results.)
 
 #![forbid(unsafe_code)]
 
@@ -22,7 +23,6 @@ pub mod sweep;
 
 use tdm_core::config::DmuConfig;
 use tdm_energy::chip::ChipPowerModel;
-use tdm_energy::edp::{evaluate, EnergyReport};
 use tdm_runtime::exec::{simulate, Backend, ExecConfig, RunReport};
 use tdm_runtime::scheduler::SchedulerKind;
 use tdm_runtime::task::Workload;
@@ -70,48 +70,6 @@ pub fn run(workload: &Workload, backend: &Backend, scheduler: SchedulerKind) -> 
     simulate(workload, backend, scheduler, &standard_config())
 }
 
-/// Runs one simulation and evaluates its energy.
-pub fn run_with_energy(
-    workload: &Workload,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-) -> (RunReport, EnergyReport) {
-    let report = run(workload, backend, scheduler);
-    let energy = evaluate(&report, &power_model(), &dmu_of(backend), frequency());
-    (report, energy)
-}
-
-/// Result of selecting the best scheduler for a benchmark on a backend.
-pub struct BestSchedule {
-    /// The winning policy.
-    pub scheduler: SchedulerKind,
-    /// The winning run.
-    pub report: RunReport,
-    /// Its energy metrics.
-    pub energy: EnergyReport,
-}
-
-/// Runs all five software schedulers on `backend` and returns the one with
-/// the smallest makespan — the OptSW / OptTDM selection of Section VI-A.
-pub fn best_scheduler(workload: &Workload, backend: &Backend) -> BestSchedule {
-    let mut best: Option<BestSchedule> = None;
-    for kind in SchedulerKind::all() {
-        let (report, energy) = run_with_energy(workload, backend, kind);
-        let better = match &best {
-            None => true,
-            Some(b) => report.makespan() < b.report.makespan(),
-        };
-        if better {
-            best = Some(BestSchedule {
-                scheduler: kind,
-                report,
-                energy,
-            });
-        }
-    }
-    best.expect("at least one scheduler was evaluated")
-}
-
 /// Formats a ratio as a percentage string (e.g. `0.123` → `"12.3%"`).
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -138,31 +96,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdm_runtime::task::{DependenceSpec, TaskSpec};
-    use tdm_sim::clock::Cycle;
-
-    fn tiny_workload() -> Workload {
-        let tasks = (0..40u64)
-            .map(|i| {
-                TaskSpec::new(
-                    "t",
-                    Cycle::new(50_000),
-                    vec![DependenceSpec::inout(0x1000 + (i % 8) * 0x1000, 0x1000)],
-                )
-            })
-            .collect();
-        Workload::new("tiny", tasks)
-    }
-
-    #[test]
-    fn best_scheduler_is_no_worse_than_fifo() {
-        let w = tiny_workload();
-        let backend = Backend::tdm_default();
-        let fifo = run(&w, &backend, SchedulerKind::Fifo);
-        let best = best_scheduler(&w, &backend);
-        assert!(best.report.makespan() <= fifo.makespan());
-        assert!(best.energy.edp > 0.0);
-    }
 
     #[test]
     fn formatting_helpers() {

@@ -23,6 +23,16 @@
 //! driving the same workload through either produces bit-identical reports
 //! (the eager-vs-streaming conformance suite pins this).
 //!
+//! # Entry points
+//!
+//! [`simulate`] and [`simulate_stream`] return a [`RunReport`];
+//! [`simulate_outcome`] and [`simulate_stream_outcome`] return a typed
+//! [`RunOutcome`] that can report a fault-injection abort. Checkpointing
+//! ([`simulate_stream_checkpointed_outcome`]) and resuming
+//! ([`resume_stream_outcome`]) exist on the streaming path only; a
+//! materialised [`Workload`] goes through them wrapped in a
+//! [`WorkloadSource`](crate::stream::WorkloadSource).
+//!
 //! ```
 //! use tdm_runtime::exec::{simulate, simulate_stream, Backend, ExecConfig};
 //! use tdm_runtime::scheduler::SchedulerKind;
@@ -191,10 +201,9 @@ pub struct ExecConfig {
     /// running both and comparing. Off (batched) by default.
     pub per_op_dmu: bool,
     /// Capture a checkpoint [`Snapshot`] every this many cycles of simulated
-    /// time, when running through [`simulate_checkpointed`] /
-    /// [`simulate_stream_checkpointed`]. `None` (the default) disables
-    /// periodic capture; the plain [`simulate`] / [`simulate_stream`] entry
-    /// points ignore the knob entirely. Deliberately **not** part of the
+    /// time, when running through [`simulate_stream_checkpointed_outcome`].
+    /// `None` (the default) disables periodic capture; every other entry
+    /// point ignores the knob entirely. Deliberately **not** part of the
     /// resume-compatibility fingerprint: a resumed run may checkpoint on a
     /// different cadence (or not at all) — capture never affects modeled
     /// time, so the reports stay bit-identical either way (see
@@ -262,8 +271,8 @@ impl ExecConfig {
     }
 
     /// Same configuration with periodic checkpointing every `every` cycles
-    /// (see [`checkpoint_every`](ExecConfig::checkpoint_every)). Only the
-    /// `*_checkpointed` entry points act on it.
+    /// (see [`checkpoint_every`](ExecConfig::checkpoint_every)). Only
+    /// [`simulate_stream_checkpointed_outcome`] acts on it.
     pub fn with_checkpoint_every(mut self, every: Cycle) -> Self {
         self.checkpoint_every = Some(every);
         self
@@ -357,7 +366,11 @@ pub struct RunReport {
     /// workload (the caller materialised it); for a [`simulate_stream`] run
     /// it is bounded by [`ExecConfig::window`] plus one prefetched spec —
     /// the number `bench_scale` reports to show million-task runs stay in
-    /// bounded memory.
+    /// bounded memory. Checkpointed and resumed runs are streaming runs
+    /// ([`simulate_stream_checkpointed_outcome`], [`resume_stream_outcome`]),
+    /// so a workload replayed through a
+    /// [`WorkloadSource`](crate::stream::WorkloadSource) reports the same
+    /// stats as [`simulate`] and differs only in this field.
     pub peak_resident_tasks: usize,
     /// Transient task failures injected by the fault plan
     /// ([`ExecConfig::fault`]); 0 when fault injection is off.
@@ -412,8 +425,9 @@ impl RunReport {
 /// phase breakdown and counter accumulated up to the abort point, with the
 /// makespan covering the work done so far — a production runtime would
 /// surface exactly this to its caller. Runs without fault injection can
-/// never abort, which is why the classic entry points ([`simulate`] and
-/// friends) keep returning a bare [`RunReport`].
+/// never abort, which is why [`simulate`] and [`simulate_stream`] keep
+/// returning a bare [`RunReport`] (and panic on an abort); every other entry
+/// point returns this type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunOutcome {
     /// Every created task finished; the report is final.
@@ -452,9 +466,9 @@ impl RunOutcome {
     }
 }
 
-/// Unwraps a completed outcome for the classic entry points, which predate
-/// fault injection and cannot observe an abort (aborts require
-/// [`ExecConfig::fault`], whose users call the `*_outcome` variants).
+/// Unwraps a completed outcome for [`simulate`] and [`simulate_stream`],
+/// which predate fault injection and cannot observe an abort (aborts require
+/// [`ExecConfig::fault`], whose users call the `*_outcome` entry points).
 fn completed_or_panic(outcome: RunOutcome) -> RunReport {
     match outcome {
         RunOutcome::Completed(report) => report,
@@ -493,16 +507,35 @@ trait TaskFeed {
     /// Specs currently held resident.
     fn resident(&self) -> usize;
     /// Serialises the feed's restorable state for the FEED snapshot section
-    /// (first byte is the feed-kind tag), or `None` if the underlying source
-    /// cannot be checkpointed (it reports no
-    /// [`TaskSource::checkpoint_cursor`]).
-    fn save_state(&self) -> Option<Vec<u8>>;
+    /// (first byte is the feed-kind tag), or `None` if the feed cannot be
+    /// checkpointed: an eager workload, or a source that reports no
+    /// [`TaskSource::checkpoint_cursor`].
+    fn save_state(&self) -> Option<Vec<u8>> {
+        None
+    }
 }
 
-/// FEED-section tag: the run was driven by an eager, materialised workload.
-const FEED_EAGER: u8 = 0;
-/// FEED-section tag: the run was driven by a pull-based streaming source.
+/// Feed-kind tag (META field 1, FEED byte 0) of the eager-workload
+/// snapshots that no longer exist. Retired, never reused: it decodes to an
+/// error telling the operator to regenerate the snapshot.
+const FEED_EAGER_RETIRED: u8 = 0;
+/// Feed-kind tag: the run was driven by a pull-based streaming source.
 const FEED_STREAM: u8 = 1;
+
+/// Checks the feed-kind tag decoded from `section`: only streaming
+/// snapshots are accepted.
+fn check_feed_kind(tag: u8, section: &str) -> Result<u8, SnapshotError> {
+    let context = match tag {
+        FEED_STREAM => return Ok(FEED_STREAM),
+        FEED_EAGER_RETIRED => format!(
+            "{section} carries the retired eager feed kind 0: eager-workload snapshots \
+             are no longer supported — regenerate the snapshot by checkpointing the \
+             workload through `WorkloadSource`"
+        ),
+        tag => format!("{section} carries unknown feed kind {tag}"),
+    };
+    Err(SnapshotError::Corrupt { context })
+}
 
 /// Feed over a fully materialised workload: specs are borrowed in place and
 /// stay resident for the whole run.
@@ -544,12 +577,6 @@ impl TaskFeed for EagerFeed<'_> {
     fn resident(&self) -> usize {
         self.workload.len()
     }
-
-    // The workload is the caller's: a checkpoint only needs to record that
-    // this was an eager run (resume borrows the same workload again).
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(vec![FEED_EAGER])
-    }
 }
 
 /// Feed over a pull-based source: holds the specs of in-flight tasks plus
@@ -584,15 +611,7 @@ impl<'a, S: TaskSource + ?Sized> StreamFeed<'a, S> {
     /// first task, which would desynchronise the cursor.
     fn restore(source: &'a mut S, payload: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = Reader::new(payload);
-        let tag = u8::load(&mut r)?;
-        if tag != FEED_STREAM {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "FEED section carries feed-kind tag {tag}, not a streaming run — \
-                     resume this snapshot with `resume`, not `resume_stream`"
-                ),
-            });
-        }
+        check_feed_kind(u8::load(&mut r)?, "FEED")?;
         let next_index = usize::load(&mut r)?;
         let had_peek = bool::load(&mut r)?;
         let pairs = Vec::<(usize, TaskSpec)>::load(&mut r)?;
@@ -815,63 +834,18 @@ pub fn simulate_stream_outcome<S: TaskSource + ?Sized>(
     .expect("a run without a checkpoint sink cannot halt")
 }
 
-/// Runs `workload` like [`simulate`], additionally capturing a [`Snapshot`]
-/// of the full mid-run state every [`ExecConfig::checkpoint_every`] cycles
-/// and handing each one to `sink`.
+/// Runs `source` like [`simulate_stream_outcome`], additionally capturing a
+/// [`Snapshot`] of the full mid-run state every
+/// [`ExecConfig::checkpoint_every`] cycles and handing each one to `sink`.
+/// This is the only checkpointing entry point: to checkpoint a materialised
+/// [`Workload`], wrap it in a [`WorkloadSource`](crate::stream::WorkloadSource).
 ///
 /// `sink` returns `true` to keep running or `false` to halt the run at that
 /// checkpoint; a halted run returns `None` (the snapshot the sink just
 /// received is the resume point). If `checkpoint_every` is unset the sink is
 /// never called and the run completes normally. Capture never affects
-/// modeled time: a checkpointed run's report is bit-identical to a plain
-/// [`simulate`] run's.
-///
-/// # Panics
-///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn simulate_checkpointed(
-    workload: &Workload,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-    config: &ExecConfig,
-    sink: &mut dyn FnMut(Snapshot) -> bool,
-) -> Option<RunReport> {
-    simulate_checkpointed_outcome(workload, backend, scheduler, config, sink)
-        .map(completed_or_panic)
-}
-
-/// Like [`simulate_checkpointed`], but surfaces retry-budget exhaustion as a
-/// typed [`RunOutcome::Aborted`] instead of a panic.
-///
-/// # Panics
-///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn simulate_checkpointed_outcome(
-    workload: &Workload,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-    config: &ExecConfig,
-    sink: &mut dyn FnMut(Snapshot) -> bool,
-) -> Option<RunOutcome> {
-    let ctl = config.checkpoint_every.map(|every| CheckpointCtl {
-        every,
-        next_at: every,
-        sink,
-    });
-    run_core(
-        EagerFeed { workload },
-        backend,
-        scheduler,
-        config,
-        None,
-        ctl,
-    )
-    .expect("eager feeds are always checkpointable")
-}
-
-/// Runs `source` like [`simulate_stream`], additionally capturing a
-/// [`Snapshot`] every [`ExecConfig::checkpoint_every`] cycles (see
-/// [`simulate_checkpointed`] for the sink contract).
+/// modeled time: a checkpointed run's outcome is bit-identical to a plain
+/// [`simulate_stream_outcome`] run's.
 ///
 /// Streaming checkpoints store the source's production cursor
 /// ([`TaskSource::checkpoint_cursor`]) plus the bounded in-flight window —
@@ -882,23 +856,6 @@ pub fn simulate_checkpointed_outcome(
 ///
 /// Panics if checkpointing is enabled but `source` reports no checkpoint
 /// cursor, and on dependence-engine deadlock (see [`simulate`]).
-pub fn simulate_stream_checkpointed<S: TaskSource + ?Sized>(
-    source: &mut S,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-    config: &ExecConfig,
-    sink: &mut dyn FnMut(Snapshot) -> bool,
-) -> Option<RunReport> {
-    simulate_stream_checkpointed_outcome(source, backend, scheduler, config, sink)
-        .map(completed_or_panic)
-}
-
-/// Like [`simulate_stream_checkpointed`], but surfaces retry-budget
-/// exhaustion as a typed [`RunOutcome::Aborted`] instead of a panic.
-///
-/// # Panics
-///
-/// As for [`simulate_stream_checkpointed`], minus the abort panic.
 pub fn simulate_stream_checkpointed_outcome<S: TaskSource + ?Sized>(
     source: &mut S,
     backend: &Backend,
@@ -927,77 +884,26 @@ pub fn simulate_stream_checkpointed_outcome<S: TaskSource + ?Sized>(
     .expect("source cursor support was checked above")
 }
 
-/// Resumes an eager-workload run from `snapshot`, driving it to completion.
-///
-/// `workload` and `config` must match what the checkpointed run used: the
-/// snapshot's META section carries the run identity and a configuration
-/// fingerprint, both validated before any state is reinstated, and the
-/// backend and scheduler are rebuilt from it — a snapshot can never be
-/// resumed under different semantics than it was taken under. Resuming is
-/// bit-exact: the returned [`RunReport`] is identical to the report of an
-/// uninterrupted run (the snapshot conformance suite pins this across the
-/// full backend × scheduler matrix).
-///
-/// # Panics
-///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn resume(
-    workload: &Workload,
-    snapshot: &Snapshot,
-    config: &ExecConfig,
-) -> Result<RunReport, SnapshotError> {
-    resume_outcome(workload, snapshot, config).map(completed_or_panic)
-}
-
-/// Like [`resume`], but surfaces retry-budget exhaustion as a typed
-/// [`RunOutcome::Aborted`] instead of a panic.
-///
-/// # Panics
-///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn resume_outcome(
-    workload: &Workload,
-    snapshot: &Snapshot,
-    config: &ExecConfig,
-) -> Result<RunOutcome, SnapshotError> {
-    let meta = RunMeta::from_snapshot(snapshot)?;
-    meta.validate(FEED_EAGER, &workload.name, config)?;
-    // The eager FEED payload is just the kind tag; check it is well-formed.
-    let mut r = Reader::new(snapshot.section(section::FEED)?);
-    let _tag = u8::load(&mut r)?;
-    r.expect_end("FEED")?;
-    let outcome = run_core(
-        EagerFeed { workload },
-        &meta.backend,
-        meta.scheduler,
-        config,
-        Some(snapshot),
-        None,
-    )?;
-    Ok(outcome.expect("resumed runs have no checkpoint sink and cannot halt"))
-}
-
-/// Resumes a streaming run from `snapshot`, driving it to completion.
+/// Resumes a checkpointed run from `snapshot`, driving it to completion.
+/// This is the only resume entry point.
 ///
 /// `source` must be a *freshly built* instance of the stream the
 /// checkpointed run was consuming: it is fast-forwarded to the snapshot's
 /// production cursor via [`TaskSource::resume_at`], so the stream is
-/// regenerated rather than stored. Validation and bit-exactness are as for
-/// [`resume`].
+/// regenerated rather than stored. `config` must match what the
+/// checkpointed run used: the snapshot's META section carries the run
+/// identity and a configuration fingerprint, both validated before any
+/// state is reinstated, and the backend and scheduler are rebuilt from it —
+/// a snapshot can never be resumed under different semantics than it was
+/// taken under. Resuming is bit-exact: the returned [`RunOutcome`] is
+/// identical to the outcome of an uninterrupted run (the snapshot
+/// conformance suite pins this across the full backend × scheduler matrix).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn resume_stream<S: TaskSource + ?Sized>(
-    source: &mut S,
-    snapshot: &Snapshot,
-    config: &ExecConfig,
-) -> Result<RunReport, SnapshotError> {
-    resume_stream_outcome(source, snapshot, config).map(completed_or_panic)
-}
-
-/// Like [`resume_stream`], but surfaces retry-budget exhaustion as a typed
-/// [`RunOutcome::Aborted`] instead of a panic.
+/// [`SnapshotError::Corrupt`] naming the cause when the snapshot does not
+/// fit `source` or `config`, is internally inconsistent, or carries the
+/// retired eager feed kind.
 ///
 /// # Panics
 ///
@@ -1008,7 +914,7 @@ pub fn resume_stream_outcome<S: TaskSource + ?Sized>(
     config: &ExecConfig,
 ) -> Result<RunOutcome, SnapshotError> {
     let meta = RunMeta::from_snapshot(snapshot)?;
-    meta.validate(FEED_STREAM, source.name(), config)?;
+    meta.validate(source.name(), config)?;
     let feed = StreamFeed::restore(source, snapshot.section(section::FEED)?)?;
     let outcome = run_core(
         feed,
@@ -1067,8 +973,8 @@ enum MasterPlan {
 
 /// Periodic capture control threaded into [`run_core`]: when simulated time
 /// reaches `next_at`, the driver assembles a [`Snapshot`] and hands it to
-/// `sink`; a `false` return halts the run (the checkpointed entry points
-/// then return `None` instead of a report).
+/// `sink`; a `false` return halts the run
+/// ([`simulate_stream_checkpointed_outcome`] then returns `None`).
 struct CheckpointCtl<'a> {
     every: Cycle,
     next_at: Cycle,
@@ -1890,7 +1796,7 @@ impl Persist for RunMeta {
 
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok(RunMeta {
-            feed_kind: u8::load(r)?,
+            feed_kind: check_feed_kind(u8::load(r)?, "META")?,
             workload: String::load(r)?,
             backend: Backend::load(r)?,
             scheduler: SchedulerKind::load(r)?,
@@ -1912,26 +1818,11 @@ impl RunMeta {
         snapshot::from_payload(snap.section(section::META)?, "META")
     }
 
-    /// Checks that the resuming entry point, workload and configuration
-    /// match what the snapshot was taken under. Every mismatch is its own
-    /// actionable error — the operator learns *which* knob diverged.
-    fn validate(
-        &self,
-        feed_kind: u8,
-        workload: &str,
-        config: &ExecConfig,
-    ) -> Result<(), SnapshotError> {
+    /// Checks that the resuming workload and configuration match what the
+    /// snapshot was taken under. Every mismatch is its own actionable error
+    /// — the operator learns *which* knob diverged.
+    fn validate(&self, workload: &str, config: &ExecConfig) -> Result<(), SnapshotError> {
         let fail = |context: String| Err(SnapshotError::Corrupt { context });
-        if self.feed_kind != feed_kind {
-            let (taken, resume_with) = if self.feed_kind == FEED_STREAM {
-                ("a streaming run", "resume_stream")
-            } else {
-                ("an eager run", "resume")
-            };
-            return fail(format!(
-                "snapshot was taken by {taken} — resume it with `{resume_with}`"
-            ));
-        }
         if self.workload != workload {
             return fail(format!(
                 "snapshot was taken on workload {:?}, not {workload:?}",
@@ -2376,6 +2267,28 @@ mod tests {
         assert_eq!(ExecConfig::default().window, usize::MAX);
     }
 
+    /// Runs `w` checkpointed through a [`WorkloadSource`], collecting every
+    /// snapshot; returns the outcome (`None` if the sink halted the run).
+    fn checkpoints(
+        w: &Workload,
+        scheduler: SchedulerKind,
+        config: &ExecConfig,
+        halt_at: Option<usize>,
+    ) -> (Option<RunOutcome>, Vec<Snapshot>) {
+        let mut snaps = Vec::new();
+        let outcome = simulate_stream_checkpointed_outcome(
+            &mut WorkloadSource::new(w),
+            &Backend::tdm_default(),
+            scheduler,
+            config,
+            &mut |snap| {
+                snaps.push(snap);
+                Some(snaps.len()) != halt_at
+            },
+        );
+        (outcome, snaps)
+    }
+
     #[test]
     fn checkpointed_run_matches_plain_run_and_resumes_bit_exact() {
         let mut w = chains_workload(6, 8, 25.0);
@@ -2384,30 +2297,26 @@ mod tests {
         let config = small_chip(6)
             .with_trace_schedule()
             .with_checkpoint_every(chip.micros(40.0));
-        let straight = simulate(&w, &Backend::tdm_default(), SchedulerKind::Age, &config);
-
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let report = simulate_checkpointed(
-            &w,
+        let straight = simulate_stream(
+            &mut WorkloadSource::new(&w),
             &Backend::tdm_default(),
             SchedulerKind::Age,
             &config,
-            &mut |snap| {
-                snaps.push(snap);
-                true
-            },
-        )
-        .expect("sink never halts");
+        );
+        let eager = simulate(&w, &Backend::tdm_default(), SchedulerKind::Age, &config);
+        assert_eq!(straight.stats, eager.stats);
+
+        let (outcome, snaps) = checkpoints(&w, SchedulerKind::Age, &config, None);
         // Capture never perturbs modeled time.
-        assert_eq!(report, straight);
+        assert_eq!(outcome, Some(RunOutcome::Completed(straight.clone())));
         assert!(snaps.len() >= 2, "expected several checkpoints");
 
         // Resuming from every checkpoint reproduces the uninterrupted report,
         // including a round trip through the binary container.
         for snap in &snaps {
             let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-            let resumed = resume(&w, &snap, &config).unwrap();
-            assert_eq!(resumed, straight);
+            let resumed = resume_stream_outcome(&mut WorkloadSource::new(&w), &snap, &config);
+            assert_eq!(resumed.unwrap(), RunOutcome::Completed(straight.clone()));
         }
     }
 
@@ -2430,31 +2339,14 @@ mod tests {
         );
 
         // Halt at the second checkpoint.
-        let mut halted_at: Option<Snapshot> = None;
-        let mut seen = 0usize;
-        let mut source = WorkloadSource::new(&w);
-        let outcome = simulate_stream_checkpointed(
-            &mut source,
-            &Backend::tdm_default(),
-            SchedulerKind::Fifo,
-            &config,
-            &mut |snap| {
-                seen += 1;
-                if seen == 2 {
-                    halted_at = Some(snap);
-                    false
-                } else {
-                    true
-                }
-            },
-        );
+        let (outcome, snaps) = checkpoints(&w, SchedulerKind::Fifo, &config, Some(2));
         assert!(outcome.is_none(), "sink halted the run");
-        let snap = halted_at.expect("run reached the second checkpoint");
+        assert_eq!(snaps.len(), 2, "run reached the second checkpoint");
 
         // A *fresh* source is fast-forwarded to the snapshot's cursor.
         let mut fresh = WorkloadSource::new(&w);
-        let resumed = resume_stream(&mut fresh, &snap, &config).unwrap();
-        assert_eq!(resumed, straight);
+        let resumed = resume_stream_outcome(&mut fresh, &snaps[1], &config).unwrap();
+        assert_eq!(resumed, RunOutcome::Completed(straight));
     }
 
     #[test]
@@ -2462,45 +2354,43 @@ mod tests {
         let w = chains_workload(3, 6, 20.0);
         let chip = ChipConfig::default();
         let config = small_chip(4).with_checkpoint_every(chip.micros(50.0));
-        let mut snaps = Vec::new();
-        simulate_checkpointed(
-            &w,
-            &Backend::tdm_default(),
-            SchedulerKind::Fifo,
-            &config,
-            &mut |snap| {
-                snaps.push(snap);
-                true
-            },
-        )
-        .unwrap();
+        let (_, snaps) = checkpoints(&w, SchedulerKind::Fifo, &config, None);
         let snap = &snaps[0];
+        let refuse = |w: &Workload, snap: &Snapshot, config: &ExecConfig| {
+            resume_stream_outcome(&mut WorkloadSource::new(w), snap, config).unwrap_err()
+        };
 
         // Different seed: refused with an error naming the knob.
         let mut other = config.clone();
         other.seed = 7;
-        let err = resume(&w, snap, &other).unwrap_err();
+        let err = refuse(&w, snap, &other);
         assert!(err.to_string().contains("seed"), "{err}");
 
         // Different core count.
-        let err = resume(
+        let err = refuse(
             &w,
             snap,
             &small_chip(8).with_checkpoint_every(chip.micros(50.0)),
-        )
-        .unwrap_err();
+        );
         assert!(err.to_string().contains("cores"), "{err}");
 
         // Different workload name.
         let mut renamed = w.clone();
         renamed.name = "other".to_string();
-        let err = resume(&renamed, snap, &config).unwrap_err();
+        let err = refuse(&renamed, snap, &config);
         assert!(err.to_string().contains("workload"), "{err}");
 
-        // Eager snapshot through the streaming entry point.
-        let mut source = WorkloadSource::new(&w);
-        let err = resume_stream(&mut source, snap, &config).unwrap_err();
-        assert!(err.to_string().contains("eager"), "{err}");
+        // A snapshot claiming the retired eager entry point's feed kind.
+        let mut eager = Snapshot::new();
+        for id in snap.section_ids() {
+            let mut payload = snap.section(id).unwrap().to_vec();
+            if id == section::META {
+                payload[0] = FEED_EAGER_RETIRED;
+            }
+            eager.add_section(id, payload);
+        }
+        let err = refuse(&w, &eager, &config);
+        assert!(err.to_string().contains("retired eager"), "{err}");
     }
 
     #[test]
@@ -2508,20 +2398,9 @@ mod tests {
         let w = independent_workload(10, 10.0);
         let config = small_chip(4);
         assert_eq!(config.checkpoint_every, None);
-        let mut calls = 0usize;
-        let report = simulate_checkpointed(
-            &w,
-            &Backend::Software,
-            SchedulerKind::Fifo,
-            &config,
-            &mut |_| {
-                calls += 1;
-                true
-            },
-        )
-        .unwrap();
-        assert_eq!(calls, 0);
-        assert_eq!(report.tasks, 10);
+        let (outcome, snaps) = checkpoints(&w, SchedulerKind::Fifo, &config, None);
+        assert!(snaps.is_empty());
+        assert_eq!(outcome.unwrap().report().tasks, 10);
     }
 
     #[test]

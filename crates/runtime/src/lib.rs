@@ -23,7 +23,10 @@
 //!   ([`simulate`]) or lazily over a task stream through the windowed
 //!   master ([`simulate_stream`]), which keeps memory bounded by
 //!   [`ExecConfig::window`](exec::ExecConfig::window) for million-task
-//!   regions.
+//!   regions. Checkpoints go through the streaming path only
+//!   ([`exec::simulate_stream_checkpointed_outcome`] and
+//!   [`exec::resume_stream_outcome`]); a materialised workload is
+//!   checkpointed by replaying it through a [`WorkloadSource`].
 //!
 //! # Example
 //!

@@ -201,16 +201,21 @@ impl LocalityModel {
 
     /// Records that `core` read the given blocks (they become resident there).
     pub fn record_reads(&mut self, core: usize, working_set: &[(BlockAddr, u64)]) {
+        #[cfg(debug_assertions)]
+        let before = self.cores[core].blocks.clone();
         for &(addr, size) in working_set {
             self.cores[core].touch(core, addr, size, self.capacity_bytes, &mut self.holders);
         }
-        self.debug_check_holders();
+        #[cfg(debug_assertions)]
+        self.debug_check_changed_holders(core, working_set, &before);
     }
 
     /// Records that `core` wrote the given blocks. The blocks become resident
     /// on the writer and are invalidated everywhere else (a coarse model of
     /// invalidation-based coherence).
     pub fn record_writes(&mut self, core: usize, working_set: &[(BlockAddr, u64)]) {
+        #[cfg(debug_assertions)]
+        let before = self.cores[core].blocks.clone();
         let mut scratch = std::mem::take(&mut self.scratch);
         for &(addr, size) in working_set {
             // Snapshot the holder list: invalidation mutates it, and at most
@@ -228,7 +233,8 @@ impl LocalityModel {
             self.cores[core].touch(core, addr, size, self.capacity_bytes, &mut self.holders);
         }
         self.scratch = scratch;
-        self.debug_check_holders();
+        #[cfg(debug_assertions)]
+        self.debug_check_changed_holders(core, working_set, &before);
     }
 
     /// Forgets all residency information (used between parallel regions).
@@ -240,8 +246,41 @@ impl LocalityModel {
         self.holders.clear();
     }
 
+    /// Debug-build invariant after a `record_*` call on `core`: the holder
+    /// entry of every block the call could change is exact. A call changes
+    /// only the entries of the blocks it touched or invalidated (the working
+    /// set) and of the blocks it evicted, which were on `core`'s list
+    /// (`before`) and are no longer. If the index was the exact transpose
+    /// before the call, checking these blocks keeps it exact after, without
+    /// rebuilding the whole transpose.
+    #[cfg(debug_assertions)]
+    fn debug_check_changed_holders(
+        &self,
+        core: usize,
+        working_set: &[(BlockAddr, u64)],
+        before: &VecDeque<(BlockAddr, u64)>,
+    ) {
+        let evicted = before
+            .iter()
+            .filter(|&&(addr, _)| !self.cores[core].contains(addr));
+        for &(addr, _) in working_set.iter().chain(evicted) {
+            let mut got = self.holders.get(&addr).cloned().unwrap_or_default();
+            got.sort_unstable();
+            let want: Vec<u32> = (0..self.cores.len() as u32)
+                .filter(|&c| self.cores[c as usize].contains(addr))
+                .collect();
+            assert_eq!(got, want, "holder index drift for block {addr:#x}");
+            assert_eq!(
+                self.holders.contains_key(&addr),
+                !want.is_empty(),
+                "holder entry presence drift for block {addr:#x}"
+            );
+        }
+    }
+
     /// Debug-build invariant: `holders` is exactly the per-block transpose of
-    /// the per-core residency lists.
+    /// the per-core residency lists. Checked in full after a snapshot load;
+    /// `record_*` calls check only the entries they can change.
     fn debug_check_holders(&self) {
         #[cfg(debug_assertions)]
         {
@@ -442,6 +481,7 @@ mod tests {
                     mirror_touch(&mut mirror[core], addr, size, 1000);
                 }
             }
+            model.debug_check_holders();
             for (i, m) in mirror.iter().enumerate() {
                 let bytes: u64 = m.iter().map(|&(_, s)| s).sum();
                 assert_eq!(model.resident_bytes(i), bytes, "step {step} core {i}");

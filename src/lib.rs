@@ -13,7 +13,8 @@
 //!   models).
 //! * [`runtime`] — the task-based data-flow runtime: task
 //!   graphs, the five software schedulers, the software / TDM / Carbon /
-//!   Task Superscalar backends, and the execution driver.
+//!   Task Superscalar backends, and the execution driver (eager, streaming,
+//!   and checkpoint/resume through the streaming path).
 //! * [`workloads`] — generators for the nine evaluated
 //!   benchmarks, calibrated to Table II.
 //! * [`energy`] — CACTI/McPAT-style area, power and EDP models.

@@ -26,10 +26,11 @@ use crate::common::{assert_is_permutation, small_benchmark_streams, small_benchm
 use crate::{all_backends, conformance_config};
 use tdm::prelude::*;
 use tdm::runtime::exec::{
-    resume_outcome, resume_stream_outcome, simulate_checkpointed_outcome, simulate_stream,
-    simulate_stream_checkpointed_outcome, simulate_stream_outcome,
+    resume_stream_outcome, simulate_stream, simulate_stream_checkpointed_outcome,
+    simulate_stream_outcome,
 };
 use tdm::runtime::fault::RetryEntry;
+use tdm::runtime::stream::WorkloadSource;
 use tdm::runtime::task::TaskRef;
 use tdm::sim::snapshot::{section, to_payload, Persist, Reader, Snapshot};
 use tdm::workloads::cholesky;
@@ -205,6 +206,33 @@ fn core_retirement_degrades_gracefully() {
     assert_eq!(report, again, "retirement must be deterministic");
 }
 
+/// Runs `workload` through a [`WorkloadSource`] checkpointed every
+/// `1/parts` of `straight`'s makespan, returning the outcome and the
+/// snapshots (each pushed through the binary codec).
+fn workload_checkpoints(
+    workload: &Workload,
+    backend: &Backend,
+    base: &ExecConfig,
+    straight: &RunReport,
+    parts: u64,
+) -> (ExecConfig, RunOutcome, Vec<Snapshot>) {
+    let interval = Cycle::new((straight.makespan().raw() / parts).max(1));
+    let config = base.clone().with_checkpoint_every(interval);
+    let mut snaps: Vec<Snapshot> = Vec::new();
+    let outcome = simulate_stream_checkpointed_outcome(
+        &mut WorkloadSource::new(workload),
+        backend,
+        SchedulerKind::Fifo,
+        &config,
+        &mut |snap| {
+            snaps.push(Snapshot::from_bytes(&snap.to_bytes()).expect("codec round trip"));
+            true
+        },
+    )
+    .expect("sink never halts");
+    (config, outcome, snaps)
+}
+
 /// Checkpoint/restart through a fault schedule: snapshots taken while
 /// failures and retries are in flight (including a populated retry queue)
 /// must resume to the uninterrupted run's report, bit for bit, on every
@@ -215,40 +243,28 @@ fn resume_through_faults_is_bit_exact() {
     for backend in all_backends() {
         let context = format!("{} under faults", backend.name());
         let base = conformance_config().with_faults(survivable_faults());
-        let straight = simulate(workload, &backend, SchedulerKind::Fifo, &base);
+        let straight = simulate_stream_outcome(
+            &mut WorkloadSource::new(workload),
+            &backend,
+            SchedulerKind::Fifo,
+            &base,
+        );
         assert!(
-            straight.faults_injected > 0,
+            straight.report().faults_injected > 0,
             "{context}: no faults injected"
         );
 
-        let interval = Cycle::new((straight.makespan().raw() / 8).max(1));
-        let config = base.with_checkpoint_every(interval);
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let checkpointed = simulate_checkpointed_outcome(
-            workload,
-            &backend,
-            SchedulerKind::Fifo,
-            &config,
-            &mut |snap| {
-                snaps.push(Snapshot::from_bytes(&snap.to_bytes()).expect("codec round trip"));
-                true
-            },
-        )
-        .expect("sink never halts");
+        let (config, checkpointed, snaps) =
+            workload_checkpoints(workload, &backend, &base, straight.report(), 8);
         assert_eq!(
-            checkpointed,
-            RunOutcome::Completed(straight.clone()),
+            checkpointed, straight,
             "{context}: capture perturbed the run"
         );
         assert!(!snaps.is_empty(), "{context}: no checkpoints captured");
         for (i, snap) in snaps.iter().enumerate() {
-            let resumed = resume_outcome(workload, snap, &config)
+            let resumed = resume_stream_outcome(&mut WorkloadSource::new(workload), snap, &config)
                 .unwrap_or_else(|e| panic!("{context}, checkpoint {i}: {e}"));
-            assert_eq!(
-                resumed,
-                RunOutcome::Completed(straight.clone()),
-                "{context}: resumed from checkpoint {i}"
-            );
+            assert_eq!(resumed, straight, "{context}: resumed from checkpoint {i}");
         }
     }
 }
@@ -265,24 +281,15 @@ fn resume_refuses_diverging_fault_configuration() {
         SchedulerKind::Fifo,
         &base,
     );
-    let interval = Cycle::new((straight.makespan().raw() / 4).max(1));
-    let config = base.with_checkpoint_every(interval);
-    let mut snaps: Vec<Snapshot> = Vec::new();
-    simulate_checkpointed_outcome(
-        workload,
-        &Backend::tdm_default(),
-        SchedulerKind::Fifo,
-        &config,
-        &mut |snap| {
-            snaps.push(snap);
-            true
-        },
-    )
-    .expect("sink never halts");
+    let (config, _, snaps) =
+        workload_checkpoints(workload, &Backend::tdm_default(), &base, &straight, 4);
+    let refuse = |config: &ExecConfig| {
+        resume_stream_outcome(&mut WorkloadSource::new(workload), &snaps[0], config).unwrap_err()
+    };
 
     let mut no_faults = config.clone();
     no_faults.fault = None;
-    let err = resume_outcome(workload, &snaps[0], &no_faults).unwrap_err();
+    let err = refuse(&no_faults);
     assert!(
         err.to_string().contains("fault configuration"),
         "wrong error: {err}"
@@ -290,7 +297,7 @@ fn resume_refuses_diverging_fault_configuration() {
 
     let mut other_rate = config.clone();
     other_rate.fault = Some(survivable_faults().with_fault_rate(0.5));
-    let err = resume_outcome(workload, &snaps[0], &other_rate).unwrap_err();
+    let err = refuse(&other_rate);
     assert!(
         err.to_string().contains("fault configuration"),
         "wrong error: {err}"

@@ -5,10 +5,10 @@
 //! reproduce the uninterrupted run's [`RunReport`] bit for bit — stats,
 //! phase breakdowns, DMU counters and (traced) schedule. These tests pin
 //! that across the backend × scheduler matrix, at several capture points per
-//! run, on both the eager and the streaming (windowed) path, and always push
-//! each snapshot through the binary container
-//! ([`Snapshot::to_bytes`]/[`Snapshot::from_bytes`]) so the full codec is on
-//! the resume path, not just the in-memory structures.
+//! run, for materialised workloads (replayed through [`WorkloadSource`]) and
+//! for windowed generator streams, and always push each snapshot through the
+//! binary container ([`Snapshot::to_bytes`]/[`Snapshot::from_bytes`]) so the
+//! full codec is on the resume path, not just the in-memory structures.
 //!
 //! The section-table test keeps `SNAPSHOT_FORMAT.md` honest: every section
 //! the driver writes must be in the registry
@@ -18,9 +18,10 @@ use crate::common::{random_workload, small_benchmark_streams, small_benchmarks};
 use crate::{all_backends, conformance_config};
 use tdm::prelude::*;
 use tdm::runtime::exec::{
-    resume, resume_stream, simulate_checkpointed, simulate_stream, simulate_stream_checkpointed,
+    resume_stream_outcome, simulate_stream, simulate_stream_checkpointed_outcome,
 };
-use tdm::sim::snapshot::{self, Snapshot, SnapshotError};
+use tdm::runtime::stream::WorkloadSource;
+use tdm::sim::snapshot::{self, section, Snapshot, SnapshotError};
 
 /// A capture interval that yields several checkpoints over `straight`'s
 /// makespan (and at least one even for degenerate runs).
@@ -28,8 +29,25 @@ fn quarter_interval(straight: &RunReport) -> Cycle {
     Cycle::new((straight.makespan().raw() / 4).max(1))
 }
 
-/// Runs `workload` checkpointed, asserts capture did not perturb the run,
-/// and returns the snapshots after a round trip through the binary codec.
+/// The uninterrupted run of `workload` replayed through a
+/// [`WorkloadSource`]: the report every checkpoint must resume to.
+fn straight_of(
+    workload: &Workload,
+    backend: &Backend,
+    scheduler: SchedulerKind,
+    config: &ExecConfig,
+) -> RunReport {
+    simulate_stream(
+        &mut WorkloadSource::new(workload),
+        backend,
+        scheduler,
+        config,
+    )
+}
+
+/// Runs `workload` checkpointed through a [`WorkloadSource`], asserts
+/// capture did not perturb the run, and returns the snapshots after a round
+/// trip through the binary codec.
 fn checkpoints_of(
     workload: &Workload,
     backend: &Backend,
@@ -38,14 +56,20 @@ fn checkpoints_of(
     straight: &RunReport,
 ) -> Vec<Snapshot> {
     let mut snaps = Vec::new();
-    let report = simulate_checkpointed(workload, backend, scheduler, config, &mut |snap| {
-        snaps.push(Snapshot::from_bytes(&snap.to_bytes()).expect("codec round trip"));
-        true
-    })
+    let outcome = simulate_stream_checkpointed_outcome(
+        &mut WorkloadSource::new(workload),
+        backend,
+        scheduler,
+        config,
+        &mut |snap| {
+            snaps.push(Snapshot::from_bytes(&snap.to_bytes()).expect("codec round trip"));
+            true
+        },
+    )
     .expect("sink never halts");
     assert_eq!(
-        &report,
-        straight,
+        outcome,
+        RunOutcome::Completed(straight.clone()),
         "capture perturbed the run ({} / {})",
         backend.name(),
         scheduler.name()
@@ -53,20 +77,30 @@ fn checkpoints_of(
     snaps
 }
 
-/// Eager path, full matrix: every backend × scheduler cell of a scaled-down
-/// benchmark, resumed from every quarter-makespan checkpoint.
+/// Resumes `snap` with a fresh [`WorkloadSource`] over `workload`.
+fn resume_workload(
+    workload: &Workload,
+    snap: &Snapshot,
+    config: &ExecConfig,
+) -> Result<RunReport, SnapshotError> {
+    resume_stream_outcome(&mut WorkloadSource::new(workload), snap, config)
+        .map(RunOutcome::into_report)
+}
+
+/// Materialised workload, full matrix: every backend × scheduler cell of a
+/// scaled-down benchmark, resumed from every quarter-makespan checkpoint.
 #[test]
 fn resume_is_bit_exact_across_backends_and_schedulers() {
     let workload = &small_benchmarks()[0];
     for backend in all_backends() {
         for scheduler in SchedulerKind::all() {
             let context = format!("{} with {}", backend.name(), scheduler.name());
-            let straight = simulate(workload, &backend, scheduler, &conformance_config());
+            let straight = straight_of(workload, &backend, scheduler, &conformance_config());
             let config = conformance_config().with_checkpoint_every(quarter_interval(&straight));
             let snaps = checkpoints_of(workload, &backend, scheduler, &config, &straight);
             assert!(!snaps.is_empty(), "{context}: no checkpoints captured");
             for (i, snap) in snaps.iter().enumerate() {
-                let resumed = resume(workload, snap, &config)
+                let resumed = resume_workload(workload, snap, &config)
                     .unwrap_or_else(|e| panic!("{context}, checkpoint {i}: {e}"));
                 assert_eq!(resumed, straight, "{context}: resumed from checkpoint {i}");
             }
@@ -97,7 +131,7 @@ fn streaming_resume_is_bit_exact_with_windows() {
 
             let mut snaps: Vec<Snapshot> = Vec::new();
             let mut stream = small_benchmark_streams().swap_remove(bench_idx);
-            let report = simulate_stream_checkpointed(
+            let outcome = simulate_stream_checkpointed_outcome(
                 &mut stream,
                 &Backend::tdm_default(),
                 SchedulerKind::Fifo,
@@ -108,11 +142,12 @@ fn streaming_resume_is_bit_exact_with_windows() {
                 },
             )
             .expect("sink never halts");
-            assert_eq!(report, straight, "{context}: capture perturbed the run");
+            let straight = RunOutcome::Completed(straight);
+            assert_eq!(outcome, straight, "{context}: capture perturbed the run");
             assert!(!snaps.is_empty(), "{context}: no checkpoints captured");
             for (i, snap) in snaps.iter().enumerate() {
                 let mut fresh = small_benchmark_streams().swap_remove(bench_idx);
-                let resumed = resume_stream(&mut fresh, snap, &config)
+                let resumed = resume_stream_outcome(&mut fresh, snap, &config)
                     .unwrap_or_else(|e| panic!("{context}, checkpoint {i}: {e}"));
                 assert_eq!(resumed, straight, "{context}: resumed from checkpoint {i}");
             }
@@ -128,7 +163,7 @@ fn random_workloads_resume_bit_exact() {
     for seed in 1..=6u64 {
         let workload = random_workload(seed);
         for backend in [Backend::tdm_default(), Backend::Software] {
-            let straight = simulate(
+            let straight = straight_of(
                 &workload,
                 &backend,
                 SchedulerKind::Age,
@@ -137,7 +172,7 @@ fn random_workloads_resume_bit_exact() {
             let config = conformance_config().with_checkpoint_every(quarter_interval(&straight));
             let snaps = checkpoints_of(&workload, &backend, SchedulerKind::Age, &config, &straight);
             for snap in &snaps {
-                let resumed = resume(&workload, snap, &config).expect("resume");
+                let resumed = resume_workload(&workload, snap, &config).expect("resume");
                 assert_eq!(resumed, straight, "seed {seed} on {}", backend.name());
             }
         }
@@ -149,7 +184,7 @@ fn random_workloads_resume_bit_exact() {
 #[test]
 fn resume_refuses_diverging_configuration() {
     let workload = &small_benchmarks()[0];
-    let straight = simulate(
+    let straight = straight_of(
         workload,
         &Backend::tdm_default(),
         SchedulerKind::Fifo,
@@ -167,14 +202,14 @@ fn resume_refuses_diverging_configuration() {
 
     let mut wrong_seed = config.clone();
     wrong_seed.seed ^= 1;
-    assert!(resume(workload, snap, &wrong_seed)
+    assert!(resume_workload(workload, snap, &wrong_seed)
         .unwrap_err()
         .to_string()
         .contains("seed"));
 
     let mut wrong_cost = config.clone();
     wrong_cost.cost.sw_sched_push += Cycle::new(1);
-    assert!(resume(workload, snap, &wrong_cost)
+    assert!(resume_workload(workload, snap, &wrong_cost)
         .unwrap_err()
         .to_string()
         .contains("cost model"));
@@ -186,7 +221,7 @@ fn resume_refuses_diverging_configuration() {
 #[test]
 fn damaged_snapshots_are_rejected() {
     let workload = &small_benchmarks()[0];
-    let straight = simulate(
+    let straight = straight_of(
         workload,
         &Backend::tdm_default(),
         SchedulerKind::Fifo,
@@ -239,10 +274,9 @@ fn format_document_covers_every_written_section() {
     let doc =
         std::fs::read_to_string(doc_path).unwrap_or_else(|e| panic!("cannot read {doc_path}: {e}"));
 
-    // Capture one traced eager snapshot and one streaming snapshot so both
-    // feed kinds' section sets are checked.
+    // Capture traced snapshots, so the optional TRACE section is checked too.
     let workload = &small_benchmarks()[0];
-    let straight = simulate(
+    let straight = straight_of(
         workload,
         &Backend::tdm_default(),
         SchedulerKind::Fifo,
@@ -259,18 +293,6 @@ fn format_document_covers_every_written_section() {
     ) {
         written.extend(snap.section_ids());
     }
-    let mut stream = small_benchmark_streams().swap_remove(0);
-    simulate_stream_checkpointed(
-        &mut stream,
-        &Backend::tdm_default(),
-        SchedulerKind::Fifo,
-        &config,
-        &mut |snap| {
-            written.extend(snap.section_ids());
-            true
-        },
-    )
-    .expect("sink never halts");
     written.sort_unstable();
     written.dedup();
     assert!(!written.is_empty());
@@ -293,5 +315,51 @@ fn format_document_covers_every_written_section() {
             "SNAPSHOT_FORMAT.md does not mention section {:?}",
             info.name
         );
+    }
+}
+
+/// Feed kind 0 belonged to the eager-workload snapshots, which are retired.
+/// A CRC-valid snapshot carrying it — in META or in FEED — is refused with
+/// a typed error that names the retired kind, never a panic or a resume.
+#[test]
+fn retired_eager_feed_kind_is_rejected() {
+    let workload = &small_benchmarks()[0];
+    let config = conformance_config();
+    let straight = straight_of(
+        workload,
+        &Backend::tdm_default(),
+        SchedulerKind::Fifo,
+        &config,
+    );
+    let config = config.with_checkpoint_every(quarter_interval(&straight));
+    let snaps = checkpoints_of(
+        workload,
+        &Backend::tdm_default(),
+        SchedulerKind::Fifo,
+        &config,
+        &straight,
+    );
+    assert!(resume_workload(workload, &snaps[0], &config).is_ok());
+
+    for (patched, name) in [(section::META, "META"), (section::FEED, "FEED")] {
+        let mut eager = Snapshot::new();
+        for id in snaps[0].section_ids() {
+            let mut payload = snaps[0].section(id).expect("listed section").to_vec();
+            if id == patched {
+                assert_eq!(payload[0], 1, "{name}: streaming feed kind");
+                payload[0] = 0;
+            }
+            eager.add_section(id, payload);
+        }
+        let eager = Snapshot::from_bytes(&eager.to_bytes()).expect("re-encoded CRC passes");
+        let err = resume_workload(workload, &eager, &config).expect_err("retired kind resumed");
+        let SnapshotError::Corrupt { context } = &err else {
+            panic!("{name}: expected a Corrupt error, got {err:?}");
+        };
+        assert!(
+            context.contains(name) && context.contains("retired eager feed kind 0"),
+            "{name}: {context}"
+        );
+        assert!(context.contains("WorkloadSource"), "{name}: {context}");
     }
 }

@@ -17,7 +17,7 @@
 use crate::common::{small_benchmark_streams, small_benchmarks};
 use crate::{all_backends, conformance_config};
 use tdm::prelude::*;
-use tdm::runtime::exec::simulate_stream;
+use tdm::runtime::exec::{simulate_stream, simulate_stream_outcome};
 use tdm::runtime::stream::WorkloadSource;
 
 /// Full scaled-down matrix: for every benchmark × backend × scheduler cell,
@@ -61,27 +61,65 @@ fn streaming_matches_eager_across_the_matrix() {
     }
 }
 
+/// `outcome` with the report's `peak_resident_tasks` zeroed: that field
+/// measures the driver's memory footprint (an eager run holds the whole
+/// workload), not the run itself.
+fn without_residency(mut outcome: RunOutcome) -> RunOutcome {
+    match &mut outcome {
+        RunOutcome::Completed(report) | RunOutcome::Aborted { report, .. } => {
+            report.peak_resident_tasks = 0;
+        }
+    }
+    outcome
+}
+
 /// Replaying a materialised workload through `WorkloadSource` is equivalent
-/// too (the generic driver does not care where specs come from).
+/// too (the generic driver does not care where specs come from): every
+/// backend × scheduler cell, traced, with and without a 30% fault schedule,
+/// agrees with the eager run on every report field but the residency peak —
+/// stats, schedule, hardware report and fault counters. This is what lets
+/// checkpoints of a materialised workload go through the streaming path.
 #[test]
 fn workload_source_replay_matches_eager() {
-    let config = conformance_config();
-    for workload in small_benchmarks() {
-        let eager = simulate(
-            &workload,
-            &Backend::tdm_default(),
-            SchedulerKind::Locality,
-            &config,
-        );
-        let mut source = WorkloadSource::new(&workload);
-        let streamed = simulate_stream(
-            &mut source,
-            &Backend::tdm_default(),
-            SchedulerKind::Locality,
-            &config,
-        );
-        assert_eq!(eager.makespan(), streamed.makespan(), "{}", workload.name);
-        assert_eq!(eager.stats, streamed.stats, "{}", workload.name);
+    let faults = FaultConfig::default()
+        .with_fault_rate(0.3)
+        .with_max_faults_per_task(2)
+        .with_retry_budget(8);
+    for config in [
+        conformance_config(),
+        conformance_config().with_faults(faults),
+    ] {
+        for workload in small_benchmarks() {
+            for backend in all_backends() {
+                for scheduler in SchedulerKind::all() {
+                    let context = format!(
+                        "{} on {} with {} (faults {})",
+                        workload.name,
+                        backend.name(),
+                        scheduler.name(),
+                        config.fault.is_some()
+                    );
+                    let eager = simulate_outcome(&workload, &backend, scheduler, &config);
+                    let mut source = WorkloadSource::new(&workload);
+                    let streamed =
+                        simulate_stream_outcome(&mut source, &backend, scheduler, &config);
+                    assert!(
+                        !eager.is_aborted(),
+                        "{context}: survivable schedule aborted"
+                    );
+                    assert_eq!(
+                        eager.report().faults_injected > 0,
+                        config.fault.is_some(),
+                        "{context}: fault injection"
+                    );
+                    assert_eq!(
+                        without_residency(eager),
+                        without_residency(streamed),
+                        "{context}"
+                    );
+                }
+            }
+        }
     }
 }
 
