@@ -16,9 +16,9 @@
 //! root. The `bench_baseline` binary wraps this module with `emit` / `check`
 //! subcommands; the CI `perf` job runs `check` on every push.
 //!
-//! The workspace builds offline (the `serde` dependency is a no-op shim), so
-//! the JSON is written and parsed by the minimal hand-rolled implementation
-//! in [`json`] — sufficient for the fixed schema below and nothing more.
+//! The workspace builds offline with no external dependencies, so the JSON
+//! is written and parsed by the minimal hand-rolled implementation in
+//! [`json`] — sufficient for the fixed schema below and nothing more.
 
 use std::time::Instant;
 
@@ -423,7 +423,7 @@ impl Baseline {
 
 /// A minimal JSON reader/writer for the baseline schema.
 ///
-/// The offline `serde` shim provides no (de)serialisation, so this module
+/// The workspace has no (de)serialisation dependency, so this module
 /// implements exactly the subset of JSON the baseline file uses: objects,
 /// arrays, strings without exotic escapes, numbers, plus `true`/`false`/
 /// `null` for completeness.

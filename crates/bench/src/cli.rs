@@ -8,8 +8,8 @@
 //! next to its usage line, never a panic.
 //!
 //! The matching hand-rolled JSON *writer* shared by the same binaries is
-//! [`crate::baseline::json::document`] (the workspace's `serde` is a no-op
-//! shim, so JSON output is assembled by hand against one helper).
+//! [`crate::baseline::json::document`] (the workspace has no serialisation
+//! dependency, so JSON output is assembled by hand against one helper).
 
 use tdm_runtime::exec::Backend;
 use tdm_runtime::scheduler::SchedulerKind;

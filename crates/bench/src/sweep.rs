@@ -28,8 +28,8 @@
 //!   `bench_sweep verify` re-checks it at full scale in CI.
 //!
 //! Results serialise to JSON/CSV through the same hand-rolled
-//! [`crate::baseline::json`] module the perf baseline uses (the
-//! workspace's `serde` is a no-op shim).
+//! [`crate::baseline::json`] module the perf baseline uses (the workspace
+//! has no external dependencies).
 //!
 //! # Example
 //!

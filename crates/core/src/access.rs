@@ -11,11 +11,10 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
 use tdm_sim::clock::Cycle;
 
 /// The DMU hardware structures that can be accessed by an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DmuStructure {
     /// Task Alias Table.
     Tat,
@@ -71,7 +70,7 @@ impl fmt::Display for DmuStructure {
 
 /// Number of accesses made to each DMU structure by one operation (or
 /// accumulated over many operations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessCounter {
     counts: [u64; 8],
 }

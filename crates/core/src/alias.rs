@@ -18,12 +18,10 @@
 //! The table also records occupancy samples so the `fig11_dat_occupancy`
 //! harness can reproduce the occupied-set statistics of Figure 11.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::IndexPolicy;
 
 /// Why an alias-table allocation could not be satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AliasError {
     /// The set selected by the address's index bits has no free way.
     SetConflict,
@@ -43,7 +41,7 @@ impl std::fmt::Display for AliasError {
 impl std::error::Error for AliasError {}
 
 /// Occupancy statistics gathered by an alias table.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AliasOccupancy {
     /// Sum of "number of occupied sets" over all samples.
     occupied_set_samples_sum: u64,
@@ -91,7 +89,7 @@ impl AliasOccupancy {
 /// assert_eq!(tat.remove(0x1000, 64), Some(id));
 /// assert_eq!(tat.lookup(0x1000, 64), None);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AliasTable {
     /// Key column: the address of each valid way, `num_sets * ways` slots.
     addrs: Vec<u64>,

@@ -8,8 +8,6 @@
 //! addresses); this module reproduces that arithmetic. Converting KB to mm²
 //! is an energy/technology question and lives in `tdm-energy`.
 
-use serde::Serialize;
-
 use crate::config::DmuConfig;
 
 /// Address bits stored per alias-table tag. The paper's TAT/DAT storage
@@ -27,7 +25,7 @@ const TASK_DESC_ADDR_BITS: u64 = 48;
 const TASK_CONTROL_BITS: u64 = 2;
 
 /// Storage of one DMU structure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructureStorage {
     /// Structure name as used in Table III.
     pub name: &'static str,
@@ -50,7 +48,7 @@ impl StructureStorage {
 }
 
 /// Storage report for the whole DMU, mirroring Table III's rows.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DmuStorageReport {
     /// Per-structure storage, in Table III order.
     pub structures: Vec<StructureStorage>,

@@ -7,12 +7,11 @@
 //! `fig07_tat_dat`, `fig08_list_arrays` and `fig09_latency` harnesses, which
 //! simply construct different [`DmuConfig`] values.
 
-use serde::{Deserialize, Serialize};
 use tdm_sim::clock::Cycle;
 
 /// How the DAT chooses which address bits form the set index
 /// (Section III-B1 and Figure 11).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IndexPolicy {
     /// The set index starts at a fixed bit position of the dependence
     /// address. Low positions collide badly when tasks access consecutive
@@ -41,7 +40,7 @@ pub enum IndexPolicy {
 /// assert_eq!(dmu.successor_la_entries, 1024);
 /// assert_eq!(dmu.elems_per_list_entry, 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DmuConfig {
     /// Entries in the Task Alias Table (task descriptor address → task ID).
     pub tat_entries: usize,

@@ -23,7 +23,6 @@
 //!   `create_task` for tasks with no dependences). The cost model charges it
 //!   a single Task Table access.
 
-use serde::{Deserialize, Serialize};
 use tdm_sim::clock::Cycle;
 
 use crate::access::{AccessCounter, DmuStructure};
@@ -40,7 +39,7 @@ use crate::tables::{DepEntry, DependenceTable, TaskEntry, TaskTable};
 const TAT_INDEX_LOW_BIT: u32 = 6;
 
 /// The DMU structure that caused an instruction to block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallReason {
     /// The TAT set for this descriptor address has no free way.
     TatConflict,
@@ -74,7 +73,7 @@ impl std::fmt::Display for StallReason {
 }
 
 /// Errors returned by DMU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmuError {
     /// The operation cannot proceed until in-flight tasks finish and free
     /// entries in the named structure. No state was modified.
@@ -118,7 +117,7 @@ impl<T> DmuResult<T> {
 }
 
 /// A ready task as returned by `get_ready_task`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadyTask {
     /// Task descriptor address, used by the runtime to locate the task.
     pub descriptor: DescriptorAddr,
@@ -128,7 +127,7 @@ pub struct ReadyTask {
 }
 
 /// Aggregate statistics maintained by the DMU model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DmuStats {
     /// `create_task` operations completed.
     pub creates: u64,
@@ -785,7 +784,7 @@ impl Dmu {
 }
 
 /// Peak occupancy of every DMU structure over a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PeakOccupancy {
     /// Peak live Task Table entries.
     pub tasks: usize,

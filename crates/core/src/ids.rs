@@ -10,11 +10,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Internal DMU identifier of an in-flight task: an index into the Task
 /// Table. With the paper's configuration (2048 entries) it fits in 11 bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(u32);
 
 impl TaskId {
@@ -42,7 +40,7 @@ impl fmt::Display for TaskId {
 
 /// Internal DMU identifier of an in-flight dependence: an index into the
 /// Dependence Table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DepId(u32);
 
 impl DepId {
@@ -71,8 +69,7 @@ impl fmt::Display for DepId {
 /// Address of a task descriptor in the runtime system's address space. This
 /// is what the runtime passes to `create_task` / `finish_task` and what
 /// `get_ready_task` returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DescriptorAddr(pub u64);
 
 impl DescriptorAddr {
@@ -96,8 +93,7 @@ impl From<u64> for DescriptorAddr {
 
 /// Base address of a data dependence (the storage region named in a
 /// `depend(in/out/inout: ...)` clause).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DepAddr(pub u64);
 
 impl DepAddr {
@@ -125,7 +121,7 @@ impl From<u64> for DepAddr {
 /// purposes `inout` behaves as an `in` followed by an `out` on the same
 /// address, which is exactly how the DMU (and our software baseline) treat
 /// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepDirection {
     /// The task reads the data (RAW edges from the last writer).
     In,

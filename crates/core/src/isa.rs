@@ -10,13 +10,11 @@
 //! discussed in [`crate::dmu`]: the paper folds it into the creation
 //! sequence, this model makes it visible.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dmu::{Dmu, DmuError, DmuResult, ReadyTask};
 use crate::ids::{DepAddr, DepDirection, DescriptorAddr, TaskId};
 
 /// One TDM ISA instruction, as issued by the runtime system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TdmInstruction {
     /// `create_task(task_desc)`.
     CreateTask {

@@ -12,14 +12,12 @@
 //! instruction block, Section III-D), and reports how many entries an
 //! operation touched so the DMU can charge the right number of SRAM accesses.
 
-use serde::{Deserialize, Serialize};
-
 /// Handle to a list stored in a [`ListArray`]: the index of its head entry.
 ///
 /// Handles are only meaningful for the list array that produced them and
 /// become dangling after [`ListArray::free_list`]; the DMU stores them in the
 /// Task and Dependence Tables exactly like the hardware stores head pointers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ListHandle(usize);
 
 impl ListHandle {
@@ -84,7 +82,7 @@ pub struct Walk {
 /// assert_eq!(la.collect(list), vec![10, 11, 12]);
 /// assert_eq!(la.entries_in_use(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ListArray {
     /// Flat element arena; entry `i` owns `arena[i*epe .. i*epe + lens[i]]`.
     /// Slots past an entry's length are stale (the hardware marks invalid

@@ -8,8 +8,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::TaskId;
 
 /// Error returned when the Ready Queue is full.
@@ -37,7 +35,7 @@ impl std::error::Error for ReadyQueueFull {}
 /// q.push(TaskId::new(2)).unwrap();
 /// assert_eq!(q.pop(), Some(TaskId::new(1)));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReadyQueue {
     queue: VecDeque<TaskId>,
     capacity: usize,

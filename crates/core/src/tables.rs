@@ -14,13 +14,11 @@
 //! [`TaskEntry`] / [`DepEntry`] structs remain as by-value row types for
 //! insertion, removal and inspection.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{DepAddr, DepId, DescriptorAddr, TaskId};
 use crate::list_array::ListHandle;
 
 /// One Task Table entry: the bookkeeping of a single in-flight task.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskEntry {
     /// Address of the runtime's task descriptor (returned by
     /// `get_ready_task`).
@@ -49,7 +47,7 @@ pub struct TaskEntry {
 /// ([`TaskTable::dec_predecessors`] and friends) read and write exactly one
 /// column. Every accessor panics on a dead or out-of-range ID — the alias
 /// table guarantees the DMU only holds live IDs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskTable {
     descriptor: Vec<DescriptorAddr>,
     num_predecessors: Vec<u32>,
@@ -231,7 +229,7 @@ impl TaskTable {
 
 /// One Dependence Table entry: the bookkeeping of a single in-flight
 /// dependence (a data address that at least one in-flight task names).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepEntry {
     /// Base address of the dependence.
     pub addr: DepAddr,
@@ -249,7 +247,7 @@ pub struct DepEntry {
 /// Same struct-of-arrays layout as [`TaskTable`]: each [`DepEntry`] field is
 /// a parallel column with panicking single-column accessors for the hot
 /// paths.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DependenceTable {
     addr: Vec<DepAddr>,
     size: Vec<u64>,

@@ -7,12 +7,11 @@
 //! and the DMU adds a negligible amount (< 0.01 % of chip power). Those are
 //! exactly the knobs of [`ChipPowerModel`].
 
-use serde::{Deserialize, Serialize};
 use tdm_sim::clock::Frequency;
 use tdm_sim::stats::{Phase, SimStats};
 
 /// Per-component power figures for the simulated 32-core chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipPowerModel {
     /// Power of a core actively executing instructions (task bodies or
     /// runtime-system code), in watts.

@@ -6,7 +6,6 @@
 //! chip power model with the DMU access counts of a run to produce the same
 //! metrics.
 
-use serde::Serialize;
 use tdm_core::area::DmuStorageReport;
 use tdm_core::config::DmuConfig;
 use tdm_runtime::exec::RunReport;
@@ -16,7 +15,7 @@ use crate::chip::ChipPowerModel;
 use crate::sram::{access_energy_pj, leakage_mw, SramKind};
 
 /// Energy metrics of one simulated execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Execution time in seconds.
     pub time_s: f64,

@@ -7,10 +7,8 @@
 //! overhead (larger for set-associative arrays, which need comparators and
 //! way multiplexers) plus an area term proportional to capacity.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of SRAM macro, which determines the fixed layout overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SramKind {
     /// Direct-mapped array (Task Table, Dependence Table, list arrays).
     DirectMapped,

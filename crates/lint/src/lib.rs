@@ -6,7 +6,7 @@
 //! modeled code, total decoders, loss-free codec casts, and save/load
 //! symmetry. This crate enforces them at `cargo` time with a hand-rolled
 //! lexer and a lightweight item indexer — no external parser dependencies,
-//! matching the workspace's shims-only policy.
+//! matching the workspace's no-external-dependencies policy.
 //!
 //! Layers:
 //!

@@ -103,8 +103,6 @@ pub enum Role {
     Tooling,
     /// Bench harness code: wall-clock and host randomness are its job.
     Bench,
-    /// Offline dependency shims.
-    Shim,
     /// Integration tests.
     Test,
     /// Examples.
@@ -131,8 +129,6 @@ pub fn classify(rel_path: &str) -> FileClass {
         Role::Bench
     } else if p.starts_with("examples/") || p.contains("/examples/") {
         Role::Example
-    } else if p.starts_with("crates/shims/") {
-        Role::Shim
     } else if p.starts_with("crates/bench/") || p.starts_with("perfbench/") {
         Role::Bench
     } else if p.starts_with("crates/lint/") {
@@ -730,7 +726,6 @@ mod tests {
             classify("crates/bench/benches/dmu_ops.rs").role,
             Role::Bench
         );
-        assert_eq!(classify("crates/shims/serde/src/lib.rs").role, Role::Shim);
         assert_eq!(classify("crates/lint/src/lints.rs").role, Role::Tooling);
         assert_eq!(classify("tests/conformance/main.rs").role, Role::Test);
         assert_eq!(classify("crates/lint/tests/fixtures.rs").role, Role::Test);
@@ -755,11 +750,10 @@ mod tests {
     }
 
     #[test]
-    fn d1_is_silent_in_bench_tests_and_shims() {
+    fn d1_is_silent_in_bench_and_tests() {
         let src = "fn f() { let m: HashMap<u8, u8> = HashMap::new(); }";
         assert!(check("crates/bench/src/x.rs", src).is_empty());
         assert!(check("tests/conformance/x.rs", src).is_empty());
-        assert!(check("crates/shims/serde/src/x.rs", src).is_empty());
     }
 
     #[test]

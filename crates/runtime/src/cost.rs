@@ -16,13 +16,12 @@
 //! range measured for software runtimes on out-of-order cores, producing the
 //! DEPS fractions of Figure 2.
 
-use serde::{Deserialize, Serialize};
 use tdm_sim::clock::Cycle;
 
 /// Cycle costs of the runtime-system operations modelled by the simulator.
 ///
 /// All values are in cycles of the 2 GHz simulated chip (2000 cycles = 1 µs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     // --- Software runtime system (baseline, also used by Carbon) ---
     /// Allocating and initializing a task descriptor in software.

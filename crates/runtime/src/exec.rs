@@ -58,7 +58,6 @@
 //!
 //! [`TaskSpec`]: crate::task::TaskSpec
 
-use serde::Serialize;
 use tdm_core::config::DmuConfig;
 use tdm_core::ids::DepDirection;
 use tdm_sim::cache::LocalityModel;
@@ -327,9 +326,21 @@ impl IdleSet {
     }
 }
 
+impl Persist for IdleSet {
+    fn save(&self, out: &mut Vec<u8>) {
+        self.words.save(out);
+    }
+
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(IdleSet {
+            words: Vec::load(r)?,
+        })
+    }
+}
+
 /// One completed task in the executed schedule: which task ran, on which
 /// core, and the cycle at which its finish was processed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledTask {
     /// The task that finished.
     pub task: TaskRef,
@@ -346,7 +357,7 @@ pub struct ScheduledTask {
 /// breakdowns, hardware counters, task counts, residency peak and (when
 /// traced) the executed schedule — is bit-identical; the sweep determinism
 /// suite relies on this.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Workload name.
     pub workload: String,
@@ -357,7 +368,6 @@ pub struct RunReport {
     /// Per-core phase breakdowns, makespan and counters.
     pub stats: SimStats,
     /// Hardware dependence-tracker report, when the backend has one.
-    #[serde(skip)]
     pub hardware: Option<HardwareReport>,
     /// Number of tasks executed.
     pub tasks: u64,
@@ -502,6 +512,8 @@ trait TaskFeed {
     fn fetch(&mut self, index: usize) -> &TaskSpec;
     /// Spec of an in-flight (fetched, unfinished) task.
     fn spec(&self, task: TaskRef) -> &TaskSpec;
+    /// True if the spec of `task` is held: fetched and not yet released.
+    fn holds(&self, task: TaskRef) -> bool;
     /// Drops the spec of a finished task.
     fn release(&mut self, task: TaskRef);
     /// Specs currently held resident.
@@ -570,6 +582,10 @@ impl TaskFeed for EagerFeed<'_> {
 
     fn spec(&self, task: TaskRef) -> &TaskSpec {
         self.workload.spec(task)
+    }
+
+    fn holds(&self, task: TaskRef) -> bool {
+        task.index() < self.workload.len()
     }
 
     fn release(&mut self, _task: TaskRef) {}
@@ -707,6 +723,10 @@ impl<S: TaskSource + ?Sized> TaskFeed for StreamFeed<'_, S> {
             .expect("spec of a task that is not in flight")
     }
 
+    fn holds(&self, task: TaskRef) -> bool {
+        self.in_flight.contains_key(&task.index())
+    }
+
     fn release(&mut self, task: TaskRef) {
         self.in_flight.remove(&task.index());
     }
@@ -775,16 +795,9 @@ pub fn simulate_outcome(
     scheduler: SchedulerKind,
     config: &ExecConfig,
 ) -> RunOutcome {
-    run_core(
-        EagerFeed { workload },
-        backend,
-        scheduler,
-        config,
-        None,
-        None,
-    )
-    .expect("a run without restore cannot fail")
-    .expect("a run without a checkpoint sink cannot halt")
+    Driver::new(EagerFeed { workload }, backend, scheduler, config)
+        .run(None)
+        .expect("a run without a checkpoint sink cannot halt")
 }
 
 /// Simulates the tasks produced by `source` on `backend`, creating them
@@ -822,16 +835,9 @@ pub fn simulate_stream_outcome<S: TaskSource + ?Sized>(
     scheduler: SchedulerKind,
     config: &ExecConfig,
 ) -> RunOutcome {
-    run_core(
-        StreamFeed::new(source),
-        backend,
-        scheduler,
-        config,
-        None,
-        None,
-    )
-    .expect("a run without restore cannot fail")
-    .expect("a run without a checkpoint sink cannot halt")
+    Driver::new(StreamFeed::new(source), backend, scheduler, config)
+        .run(None)
+        .expect("a run without a checkpoint sink cannot halt")
 }
 
 /// Runs `source` like [`simulate_stream_outcome`], additionally capturing a
@@ -873,15 +879,7 @@ pub fn simulate_stream_checkpointed_outcome<S: TaskSource + ?Sized>(
         next_at: every,
         sink,
     });
-    run_core(
-        StreamFeed::new(source),
-        backend,
-        scheduler,
-        config,
-        None,
-        ctl,
-    )
-    .expect("source cursor support was checked above")
+    Driver::new(StreamFeed::new(source), backend, scheduler, config).run(ctl)
 }
 
 /// Resumes a checkpointed run from `snapshot`, driving it to completion.
@@ -916,15 +914,11 @@ pub fn resume_stream_outcome<S: TaskSource + ?Sized>(
     let meta = RunMeta::from_snapshot(snapshot)?;
     meta.validate(source.name(), config)?;
     let feed = StreamFeed::restore(source, snapshot.section(section::FEED)?)?;
-    let outcome = run_core(
-        feed,
-        &meta.backend,
-        meta.scheduler,
-        config,
-        Some(snapshot),
-        None,
-    )?;
-    Ok(outcome.expect("resumed runs have no checkpoint sink and cannot halt"))
+    let mut driver = Driver::new(feed, &meta.backend, meta.scheduler, config);
+    driver.restore(snapshot)?;
+    Ok(driver
+        .run(None)
+        .expect("resumed runs have no checkpoint sink and cannot halt"))
 }
 
 /// Timing-wheel payload marking a retry dispatch instead of a core event.
@@ -932,6 +926,9 @@ pub fn resume_stream_outcome<S: TaskSource + ?Sized>(
 /// entry of the retry queue is re-issued to the scheduling pool. No real
 /// core can carry this id (cores are `0..num_cores`).
 const RETRY_EVENT: usize = usize::MAX;
+
+/// The core that creates tasks; every other core only executes them.
+const MASTER: usize = 0;
 
 /// A task in flight on a core, carrying the successor count its
 /// [`ReadyEntry`] arrived with so a faulted task can be re-issued under the
@@ -956,9 +953,104 @@ impl Persist for RunningTask {
     }
 }
 
+/// The driver's own run state: everything the DRIVER snapshot section
+/// holds. The other subsystems (engine, pool, statistics, locality, events,
+/// faults) persist through their own sections.
+struct DriverState {
+    /// The task each core is executing, if any.
+    running: Vec<Option<RunningTask>>,
+    /// The cycle each idle core went idle at.
+    idle_since: Vec<Option<Cycle>>,
+    idle_set: IdleSet,
+    /// Index of the next task the master creates.
+    next_create: usize,
+    finished: usize,
+    /// High-water mark of resident specs (in flight plus one prefetched).
+    peak_resident: usize,
+    makespan: Cycle,
+    /// True while the master is held back from creating — either the last
+    /// creation attempt stalled on a full DMU structure, or the in-flight
+    /// count reached the configured window. The master then behaves as a
+    /// worker (runtime-system throttling) and retries after tasks finish.
+    master_throttled: bool,
+}
+
+impl DriverState {
+    fn new(num_cores: usize, peak_resident: usize) -> Self {
+        DriverState {
+            running: vec![None; num_cores],
+            idle_since: vec![None; num_cores],
+            idle_set: IdleSet::new(num_cores),
+            next_create: 0,
+            finished: 0,
+            peak_resident,
+            makespan: Cycle::ZERO,
+            master_throttled: false,
+        }
+    }
+
+    /// Rejects a decoded DRIVER section that does not fit a `num_cores` run
+    /// or disagrees with the restored `feed`: every running task must be
+    /// created, unfinished, held by the feed and running on one core only.
+    fn check(&self, num_cores: usize, feed: &impl TaskFeed) -> Result<(), SnapshotError> {
+        same("DRIVER running cores", self.running.len(), num_cores)?;
+        same("DRIVER idle_since cores", self.idle_since.len(), num_cores)?;
+        let words = IdleSet::new(num_cores).words.len();
+        same("DRIVER idle-set words", self.idle_set.words.len(), words)?;
+        let (created, finished) = (self.next_create, self.finished);
+        if finished > created {
+            return Err(SnapshotError::Corrupt {
+                context: format!(
+                    "DRIVER records {finished} finished tasks but only {created} created"
+                ),
+            });
+        }
+        let mut tasks: Vec<TaskRef> = self.running.iter().flatten().map(|rt| rt.task).collect();
+        tasks.sort_unstable();
+        for (i, &task) in tasks.iter().enumerate() {
+            let context = if task.index() >= created || !feed.holds(task) {
+                format!("DRIVER runs {task} on a core, but FEED does not hold it in flight")
+            } else if tasks.get(i + 1) == Some(&task) {
+                format!("DRIVER runs {task} on two cores")
+            } else {
+                continue;
+            };
+            return Err(SnapshotError::Corrupt { context });
+        }
+        Ok(())
+    }
+}
+
+impl Persist for DriverState {
+    fn save(&self, out: &mut Vec<u8>) {
+        self.running.save(out);
+        self.idle_since.save(out);
+        self.idle_set.save(out);
+        self.next_create.save(out);
+        self.finished.save(out);
+        self.peak_resident.save(out);
+        self.makespan.save(out);
+        self.master_throttled.save(out);
+    }
+
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(DriverState {
+            running: Vec::load(r)?,
+            idle_since: Vec::load(r)?,
+            idle_set: IdleSet::load(r)?,
+            next_create: usize::load(r)?,
+            finished: usize::load(r)?,
+            peak_resident: usize::load(r)?,
+            makespan: Cycle::load(r)?,
+            master_throttled: bool::load(r)?,
+        })
+    }
+}
+
 /// What the master core does in Phase 2 of the current batch, decided while
-/// the batch's engine work is issued (Pass A of [`run_core`]) and replayed
-/// with the driver bookkeeping (Pass B).
+/// the batch's engine work is issued ([`Driver::engine_pass`]) and replayed
+/// with the driver bookkeeping ([`Driver::bookkeep`]).
+#[derive(Clone, Copy)]
 enum MasterPlan {
     /// No creation attempt this batch (master absent, throttled, or the feed
     /// is exhausted): plain worker behaviour.
@@ -971,7 +1063,43 @@ enum MasterPlan {
     Created { cost: Cycle, completed: bool },
 }
 
-/// Periodic capture control threaded into [`run_core`]: when simulated time
+/// Per-batch scratch, reused across cycles and empty between batches: the
+/// tasks finishing this cycle in event order (paired with their core), the
+/// per-finish costs, the tasks those finishes readied (with per-finish
+/// `[start, end)` spans into the shared buffer), the tasks the master's
+/// creation attempt readied, and the injected failures. Kept apart from the
+/// [`Driver`] so Pass B can read a finish's ready span while it mutates the
+/// pool and the statistics.
+#[derive(Default)]
+struct Batch {
+    fin_tasks: Vec<(TaskRef, usize)>,
+    fin_costs: Vec<Cycle>,
+    fin_spans: Vec<(usize, usize)>,
+    fin_ready: Vec<ReadyInfo>,
+    create_ready: Vec<ReadyInfo>,
+    /// Injected failures in event order: the failing task (with the
+    /// successor count its re-issue must carry), the core it failed on, and
+    /// the engine's failure-path cost.
+    fail_events: Vec<(RunningTask, usize, Cycle)>,
+    /// Pass B's cursors into `fin_tasks` and `fail_events`.
+    next_fin: usize,
+    next_fail: usize,
+}
+
+impl Batch {
+    fn clear(&mut self) {
+        self.fin_tasks.clear();
+        self.fin_costs.clear();
+        self.fin_spans.clear();
+        self.fin_ready.clear();
+        self.create_ready.clear();
+        self.fail_events.clear();
+        self.next_fin = 0;
+        self.next_fail = 0;
+    }
+}
+
+/// Periodic capture control handed to [`Driver::run`]: when simulated time
 /// reaches `next_at`, the driver assembles a [`Snapshot`] and hands it to
 /// `sink`; a `false` return halts the run
 /// ([`simulate_stream_checkpointed_outcome`] then returns `None`).
@@ -982,713 +1110,593 @@ struct CheckpointCtl<'a> {
 }
 
 /// The discrete-event loop shared by every entry point: plain
-/// ([`simulate`] / [`simulate_stream`]), checkpointed (`checkpoint` set) and
-/// resumed (`restore` set). Returns `Ok(None)` when a checkpoint sink halted
-/// the run, and an error only when `restore` holds an inconsistent snapshot.
-/// Fault injection aborting the run is a normal return
-/// ([`RunOutcome::Aborted`]), not an error.
-fn run_core<F: TaskFeed>(
-    mut feed: F,
-    backend: &Backend,
+/// ([`simulate`] / [`simulate_stream`]), checkpointed and resumed
+/// ([`Driver::restore`]). One method per phase of a batch; the fields are
+/// the long-lived run state, each subsystem persisted in its own snapshot
+/// section.
+struct Driver<'a, F: TaskFeed> {
+    feed: F,
+    backend: &'a Backend,
     scheduler: SchedulerKind,
-    config: &ExecConfig,
-    restore: Option<&Snapshot>,
-    mut checkpoint: Option<CheckpointCtl<'_>>,
-) -> Result<Option<RunOutcome>, SnapshotError> {
-    let num_cores = config.chip.num_cores;
-    let master = 0usize;
-    let window = config.window.max(1);
-    let noc = NocModel::from_chip(&config.chip);
-    let noc_round_trip = noc.average_round_trip();
+    config: &'a ExecConfig,
+    /// The creation window, with 0 clamped to 1.
+    window: usize,
+    engine: Box<dyn DependenceEngine>,
+    pool: Box<dyn Scheduler>,
+    push_cost: Cycle,
+    pick_cost: Cycle,
+    locality_benefit: f64,
+    duration_jitter: f64,
+    stats: SimStats,
+    locality: LocalityModel,
+    events: EventQueue<usize>,
+    /// Fault injection: the plan is a pure function of the run seed and the
+    /// fault configuration (dedicated stream, so fault draws never perturb
+    /// duration jitter), the state is the mutable bookkeeping. Completion
+    /// boundaries are counted even with faults disabled so the FAULT
+    /// snapshot section — and therefore whole snapshots — are bit-identical
+    /// between `fault: None` and an all-zero-rate config.
+    fault_plan: Option<FaultPlan>,
+    fault_state: FaultState,
+    schedule: Vec<ScheduledTask>,
+    state: DriverState,
+    /// First task to exhaust its retry budget (with its final failure
+    /// count): the run halts at the end of that batch and reports
+    /// `RunOutcome::Aborted` instead of completing.
+    aborted: Option<(TaskRef, u32)>,
+    /// The `(addr, size)` blocks of the task being dispatched, refilled for
+    /// the locality probe and the read and write records.
+    blocks: Vec<(u64, u64)>,
+}
 
-    let mut engine = backend.build_engine(&config.cost, noc_round_trip, config.per_op_dmu);
-    let hardware_sched = backend.hardware_scheduling();
-    let mut pool: Box<dyn Scheduler> = if hardware_sched {
-        Box::new(FifoScheduler::new())
-    } else {
-        scheduler.build()
-    };
-    let scheduler_name = if hardware_sched {
-        "HW-FIFO".to_string()
-    } else {
-        scheduler.name().to_string()
-    };
-    let (push_cost, pick_cost) = if hardware_sched {
-        (config.cost.hw_queue_op, config.cost.hw_queue_op)
-    } else {
-        (config.cost.sw_sched_push, config.cost.sw_sched_pick)
-    };
-
-    let locality_benefit = feed.locality_benefit();
-    let duration_jitter = feed.duration_jitter();
-    let mut stats = SimStats::new(num_cores, master);
-    let mut locality = LocalityModel::new(num_cores, config.locality_capacity_bytes.max(1));
-    let mut events: EventQueue<usize> = EventQueue::new();
-    let mut running: Vec<Option<RunningTask>> = vec![None; num_cores];
-    let mut idle_since: Vec<Option<Cycle>> = vec![None; num_cores];
-    let mut idle_set = IdleSet::new(num_cores);
-    // Fault injection: the plan is a pure function of the run seed and the
-    // fault configuration (dedicated stream, so fault draws never perturb
-    // duration jitter), the state is the mutable bookkeeping. Completion
-    // boundaries are counted even with faults disabled so the FAULT snapshot
-    // section — and therefore whole snapshots — are bit-identical between
-    // `fault: None` and an all-zero-rate config.
-    let fault_plan = config
-        .fault
-        .as_ref()
-        .map(|fc| FaultPlan::new(config.seed, fc.clone()));
-    let mut fault_state = FaultState::new(num_cores);
-    // Batch buffers reused across cycles: the tasks finishing this cycle in
-    // event order (paired with their core), the per-finish costs, the tasks
-    // those finishes readied (with per-finish `[start, end)` spans into the
-    // shared buffer), and the tasks the master's creation attempt readied.
-    let mut fin_tasks: Vec<(TaskRef, usize)> = Vec::new();
-    let mut fin_costs: Vec<Cycle> = Vec::new();
-    let mut fin_spans: Vec<(usize, usize)> = Vec::new();
-    let mut fin_ready: Vec<ReadyInfo> = Vec::new();
-    let mut create_ready: Vec<ReadyInfo> = Vec::new();
-    // Injected failures of this batch, in event order: the failing task
-    // (with the successor count its re-issue must carry), the core it
-    // failed on, and the engine's failure-path cost.
-    let mut fail_events: Vec<(RunningTask, usize, Cycle)> = Vec::new();
-    // The `(addr, size)` blocks of the task being dispatched, refilled for
-    // the locality probe and the read and write records.
-    let mut blocks: Vec<(u64, u64)> = Vec::new();
-    let mut next_create = 0usize;
-    let mut finished = 0usize;
-    let mut peak_resident = feed.resident();
-    let mut schedule: Vec<ScheduledTask> = if config.trace_schedule {
-        Vec::with_capacity(feed.len_hint().unwrap_or(0))
-    } else {
-        Vec::new()
-    };
-    let mut makespan = Cycle::ZERO;
-    // True while the master is held back from creating — either the last
-    // creation attempt stalled on a full DMU structure, or the in-flight
-    // count reached the configured window. The master then behaves as a
-    // worker (runtime-system throttling) and retries after tasks finish.
-    let mut master_throttled = false;
-    // First task to exhaust its retry budget (with its final failure
-    // count): the run halts at the end of that batch and reports
-    // `RunOutcome::Aborted` instead of completing.
-    let mut aborted: Option<(TaskRef, u32)> = None;
-
-    // Deterministic per-task duration jitter: the same task gets the same
-    // duration regardless of scheduler or backend, so comparisons are fair.
-    let jitter_for = |task: TaskRef| -> f64 {
-        if duration_jitter == 0.0 {
-            1.0
-        } else {
-            let mut rng = SplitMix64::new(config.seed ^ (task.index() as u64).wrapping_mul(0x9E37));
-            rng.jitter(duration_jitter)
-        }
-    };
-
-    if let Some(snap) = restore {
-        // Reinstate the mutable run state section by section. META (identity
-        // and configuration fingerprint) was already validated by the resume
-        // entry point, and the feed was rebuilt from FEED before this call;
-        // everything else lives in the long-lived locals loaded here. The
-        // initial per-core event seeding is skipped — the restored timing
-        // wheel already holds the pending events of the interrupted run.
-        stats = snapshot::from_payload(snap.section(section::STATS)?, "STATS")?;
-        if stats.cores.len() != num_cores || stats.master != master {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "STATS section covers {} cores (master {}), expected {num_cores} \
-                     (master {master})",
-                    stats.cores.len(),
-                    stats.master
-                ),
-            });
-        }
-        locality = snapshot::from_payload(snap.section(section::LOCALITY)?, "LOCALITY")?;
-        if locality.num_cores() != num_cores {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "LOCALITY section covers {} cores, expected {num_cores}",
-                    locality.num_cores()
-                ),
-            });
-        }
-        events = snapshot::from_payload(snap.section(section::EVENTS)?, "EVENTS")?;
-        let mut r = Reader::new(snap.section(section::SCHEDULER)?);
-        pool.load_state(&mut r)?;
-        r.expect_end("SCHEDULER")?;
-        let mut r = Reader::new(snap.section(section::ENGINE)?);
-        engine.load_state(&mut r)?;
-        r.expect_end("ENGINE")?;
-        let mut r = Reader::new(snap.section(section::DRIVER)?);
-        running = Vec::load(&mut r)?;
-        idle_since = Vec::load(&mut r)?;
-        let idle_words = Vec::<u64>::load(&mut r)?;
-        next_create = usize::load(&mut r)?;
-        finished = usize::load(&mut r)?;
-        peak_resident = usize::load(&mut r)?;
-        makespan = Cycle::load(&mut r)?;
-        master_throttled = bool::load(&mut r)?;
-        r.expect_end("DRIVER")?;
-        if running.len() != num_cores
-            || idle_since.len() != num_cores
-            || idle_words.len() != idle_set.words.len()
-        {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "DRIVER section covers {} cores, expected {num_cores}",
-                    running.len()
-                ),
-            });
-        }
-        idle_set.words = idle_words;
-        fault_state = snapshot::from_payload(snap.section(section::FAULT)?, "FAULT")?;
-        if fault_state.num_cores() != num_cores {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "FAULT section covers {} cores, expected {num_cores}",
-                    fault_state.num_cores()
-                ),
-            });
-        }
-        if config.trace_schedule {
-            schedule = snapshot::from_payload(snap.section(section::TRACE)?, "TRACE")?;
-        }
-    } else {
+impl<'a, F: TaskFeed> Driver<'a, F> {
+    /// A driver at cycle 0 with every core's first event queued.
+    fn new(
+        feed: F,
+        backend: &'a Backend,
+        scheduler: SchedulerKind,
+        config: &'a ExecConfig,
+    ) -> Self {
+        let num_cores = config.chip.num_cores;
+        let noc_round_trip = NocModel::from_chip(&config.chip).average_round_trip();
+        let (pool, push_cost, pick_cost): (Box<dyn Scheduler>, _, _) =
+            if backend.hardware_scheduling() {
+                let op = config.cost.hw_queue_op;
+                (Box::new(FifoScheduler::new()), op, op)
+            } else {
+                let cost = &config.cost;
+                (scheduler.build(), cost.sw_sched_push, cost.sw_sched_pick)
+            };
+        let mut events = EventQueue::new();
         for core in 0..num_cores {
             events.schedule(Cycle::ZERO, core);
         }
-    }
-
-    // Batched same-cycle delivery: every event of the current cycle is
-    // drained from the timing wheel in one operation (a single occupancy
-    // scan + bucket detach) and processed in FIFO order, instead of paying
-    // a queue pop per event. Events scheduled *for the same cycle* while
-    // the batch runs are picked up by the next `pop_batch` — exactly the
-    // position serial pops would have delivered them in (behind everything
-    // already pending), so the executed timeline is bit-identical to the
-    // one-pop-at-a-time loop this replaces.
-    let mut batch: Vec<usize> = Vec::new();
-    while let Some(now) = events.pop_batch(&mut batch) {
-        // ------------------------------------------------------------------
-        // Pass A: every engine call of this batch, issued in event order.
-        //
-        // The engine sees exactly the operation sequence the per-event loop
-        // would issue — finishes of cores up to and including the master,
-        // the master's creation attempt, then the remaining finishes — but
-        // the finish runs go through `finish_batch`, which amortises
-        // per-call work across the whole cycle. Engine calls never read the
-        // scheduler pool, the idle set or the event queue, and the driver
-        // bookkeeping replayed in Pass B never touches the engine, so the
-        // two-pass split is observably identical to the interleaved loop it
-        // replaces (the per-op conformance suite pins this).
-        // ------------------------------------------------------------------
-        fin_tasks.clear();
-        fin_costs.clear();
-        fin_spans.clear();
-        fin_ready.clear();
-        create_ready.clear();
-        fail_events.clear();
-        let mut master_plan = MasterPlan::None;
-
-        let master_pos = batch.iter().position(|&c| c == master);
-        let split = master_pos.map_or(batch.len(), |pos| pos + 1);
-        for &core in &batch[..split] {
-            if core == RETRY_EVENT {
-                continue;
-            }
-            if let Some(rt) = running[core].take() {
-                // Completion boundary: transient failure (the result is lost
-                // and the task must re-run), then sticky core retirement.
-                // Both are pure draws keyed on stable identities, so the
-                // decisions are identical across backends, schedulers and
-                // resume.
-                if fault_state.complete(fault_plan.as_ref(), rt.task, core, core != master) {
-                    let cost = engine.fail_task(now, rt.task, core);
-                    fail_events.push((rt, core, cost));
-                } else {
-                    fin_tasks.push((rt.task, core));
-                }
-            }
-        }
-        // Set when the master's own task failed this batch: the cycle its
-        // creation attempt is pushed back to (engine failure path plus
-        // detection latency), standing in for the finish-cost path below.
-        let master_fail_cost = fault_plan.as_ref().and_then(|plan| {
-            let &(_, _, cost) = fail_events.iter().find(|&&(_, core, _)| core == master)?;
-            Some(cost + plan.config().detect_cost)
-        });
-        engine.finish_batch(
-            now,
-            &fin_tasks,
-            &mut fin_costs,
-            &mut fin_ready,
-            &mut fin_spans,
-        );
-        for &(task, _) in &fin_tasks {
-            feed.release(task);
-        }
-        let first_run = fin_tasks.len();
-
-        if master_pos.is_some() {
-            // The master's creation decision, evaluated against the state it
-            // observes mid-batch: finishes processed before its event reset
-            // the throttle and shrink the in-flight window.
-            let finished_mid = finished + first_run;
-            let throttled_mid = master_throttled && first_run == 0;
-            if !throttled_mid && !feed.exhausted(next_create) {
-                if next_create - finished_mid >= window {
-                    master_plan = MasterPlan::Throttle;
-                } else {
-                    // The cycle the master reaches its creation attempt at:
-                    // its own finish cost plus one push per task that finish
-                    // readied — or, if its own task failed this batch, the
-                    // failure-detection path instead.
-                    let mut t_master = now;
-                    if let Some(cost) = master_fail_cost {
-                        t_master = now + cost;
-                    } else if let Some(&(_, last_core)) = fin_tasks.last() {
-                        if last_core == master {
-                            let (start, end) = fin_spans[first_run - 1];
-                            t_master = now
-                                + fin_costs[first_run - 1]
-                                + push_cost.scaled((end - start) as u64);
-                        }
-                    }
-                    let task = TaskRef(next_create);
-                    let outcome = {
-                        let spec = feed.fetch(next_create);
-                        engine.create_task(t_master, task, spec, &mut create_ready)
-                    };
-                    peak_resident = peak_resident.max(feed.resident());
-                    master_plan = MasterPlan::Created {
-                        cost: outcome.cost,
-                        completed: outcome.completed,
-                    };
-                }
-            }
-            let before = fin_tasks.len();
-            for &core in &batch[split..] {
-                if core == RETRY_EVENT {
-                    continue;
-                }
-                if let Some(rt) = running[core].take() {
-                    if fault_state.complete(fault_plan.as_ref(), rt.task, core, true) {
-                        let cost = engine.fail_task(now, rt.task, core);
-                        fail_events.push((rt, core, cost));
-                    } else {
-                        fin_tasks.push((rt.task, core));
-                    }
-                }
-            }
-            engine.finish_batch(
-                now,
-                &fin_tasks[before..],
-                &mut fin_costs,
-                &mut fin_ready,
-                &mut fin_spans,
-            );
-            for &(task, _) in &fin_tasks[before..] {
-                feed.release(task);
-            }
-        }
-
-        // ------------------------------------------------------------------
-        // Pass B: driver bookkeeping, replayed per event in batch order.
-        // ------------------------------------------------------------------
-        let mut fin_idx = 0usize;
-        let mut fail_idx = 0usize;
-        for &core in &batch {
-            // ------------------------------------------------------------------
-            // Phase 0: retry dispatch. A sentinel event re-issues every due
-            // entry of the retry queue to the scheduling pool, in insertion
-            // order, and wakes idle cores to pick them up. Re-issue itself
-            // is modeled free: the retry watchdog runs off the critical
-            // path, and the backoff delay already charged the latency.
-            // ------------------------------------------------------------------
-            if core == RETRY_EVENT {
-                let dispatched = fault_state.drain_due(now, |task, num_successors| {
-                    pool.push(ReadyEntry {
-                        task,
-                        num_successors,
-                        creation_seq: task.index(),
-                        ready_at: now,
-                        producer_core: None,
-                    });
-                });
-                for _ in 0..dispatched {
-                    let Some(idle_core) = idle_set.pop_min() else {
-                        break;
-                    };
-                    events.schedule(now, idle_core);
-                }
-                continue;
-            }
-            let mut t = now;
-
-            // ------------------------------------------------------------------
-            // Phase 0b: the injected failure this core contributed, if any.
-            // The task never finished: dependents stay blocked, the window
-            // stays occupied and the master throttle is NOT reset. The core
-            // pays the engine's failure path plus fault-detection latency,
-            // then the task is queued for re-issue after a linear backoff —
-            // or, past the retry budget, the run aborts at the end of this
-            // batch.
-            // ------------------------------------------------------------------
-            if fail_idx < fail_events.len() && fail_events[fail_idx].1 == core {
-                let (rt, _, engine_cost) = fail_events[fail_idx];
-                fail_idx += 1;
-                let plan = fault_plan
-                    .as_ref()
-                    .expect("failures are only injected when a fault plan exists");
-                let cost = engine_cost + plan.config().detect_cost;
-                stats.cores[core].add(Phase::Deps, cost);
-                t += cost;
-                makespan = makespan.max(t);
-                let count = fault_state.record_failure(rt.task);
-                if count > plan.config().retry_budget {
-                    if aborted.is_none() {
-                        aborted = Some((rt.task, count));
-                    }
-                } else {
-                    let due = t + plan.backoff_delay(count);
-                    fault_state.push_retry(due, rt.task, rt.num_successors);
-                    events.schedule(due, RETRY_EVENT);
-                }
-            }
-
-            // ------------------------------------------------------------------
-            // Phase 1: the finish this core contributed to the batch, if any.
-            // ------------------------------------------------------------------
-            let mut finished_here = false;
-            if fin_idx < fin_tasks.len() && fin_tasks[fin_idx].1 == core {
-                let (task, _) = fin_tasks[fin_idx];
-                let fin_cost = fin_costs[fin_idx];
-                let (start, end) = fin_spans[fin_idx];
-                fin_idx += 1;
-                // Any finish releases DMU resources and shrinks the in-flight
-                // window, so a throttled master may retry creation at its next
-                // opportunity.
-                master_throttled = false;
-                stats.cores[core].add(Phase::Deps, fin_cost);
-                t += fin_cost;
-                finished += 1;
-                finished_here = true;
-                if config.trace_schedule {
-                    schedule.push(ScheduledTask {
-                        task,
-                        core,
-                        finish: t,
-                    });
-                }
-                makespan = makespan.max(t);
-                push_ready(
-                    &fin_ready[start..end],
-                    Some(core),
-                    &mut t,
-                    core,
-                    &mut *pool,
-                    &mut stats,
-                    push_cost,
-                    &mut idle_set,
-                    &mut events,
-                );
-            }
-
-            // A finish frees DMU resources (and may ready tasks): make sure a
-            // throttled or idle master gets a chance to resume creation.
-            if finished_here
-                && core != master
-                && !feed.exhausted(next_create)
-                && idle_set.remove(master)
-            {
-                events.schedule(t, master);
-            }
-
-            // ------------------------------------------------------------------
-            // Phase 2: the master's creation attempt, decided in Pass A.
-            //
-            // When a creation attempt stalls on a full DMU structure, or the
-            // in-flight count reaches the configured window, the master does not
-            // busy-wait: like a throttled runtime system it falls through to the
-            // worker path, executes a task (or goes idle) and retries creation
-            // after the next finish.
-            // ------------------------------------------------------------------
-            if core == master {
-                match master_plan {
-                    MasterPlan::None => {}
-                    MasterPlan::Throttle => {
-                        master_throttled = true;
-                        // Fall through to the worker path while the window
-                        // drains.
-                    }
-                    MasterPlan::Created { cost, completed } => {
-                        stats.cores[master].add(Phase::Deps, cost);
-                        t += cost;
-                        push_ready(
-                            &create_ready,
-                            None,
-                            &mut t,
-                            master,
-                            &mut *pool,
-                            &mut stats,
-                            push_cost,
-                            &mut idle_set,
-                            &mut events,
-                        );
-                        if completed {
-                            next_create += 1;
-                            events.schedule(t, master);
-                            continue;
-                        }
-                        master_throttled = true;
-                        // Fall through to the worker path: execute something
-                        // (or idle) while the DMU drains.
-                    }
-                }
-            }
-
-            // ------------------------------------------------------------------
-            // Phase 3: worker behaviour — schedule and execute a ready task.
-            // ------------------------------------------------------------------
-            if feed.exhausted(next_create) && finished >= next_create {
-                continue;
-            }
-            // A retired core never takes new work and never joins the idle
-            // set (it cannot be woken). If ready work is pending, hand the
-            // wake-up to an idle survivor so the pool is never stranded on
-            // a core that just died.
-            if fault_state.is_retired(core) {
-                if !pool.is_empty() {
-                    if let Some(idle_core) = idle_set.pop_min() {
-                        events.schedule(t, idle_core);
-                    }
-                }
-                continue;
-            }
-            if let Some(entry) = pool.pop(core) {
-                if let Some(since) = idle_since[core].take() {
-                    stats.cores[core].add(Phase::Idle, t.saturating_sub(since));
-                }
-                idle_set.remove(core);
-                stats.cores[core].add(Phase::Sched, pick_cost);
-                t += pick_cost;
-
-                let spec = feed.spec(entry.task);
-                blocks.clear();
-                blocks.extend(spec.blocks(|_| true));
-                let hit_fraction = locality.probe(core, &blocks).hit_fraction();
-                let locality_factor = 1.0 - locality_benefit * hit_fraction;
-                let duration = spec
-                    .duration
-                    .scaled_f64(locality_factor * jitter_for(entry.task));
-                blocks.clear();
-                blocks.extend(spec.blocks(DepDirection::reads));
-                locality.record_reads(core, &blocks);
-                blocks.clear();
-                blocks.extend(spec.blocks(DepDirection::writes));
-                locality.record_writes(core, &blocks);
-
-                stats.cores[core].add(Phase::Exec, duration);
-                running[core] = Some(RunningTask {
-                    task: entry.task,
-                    num_successors: entry.num_successors,
-                });
-                events.schedule(t + duration, core);
-            } else {
-                if idle_since[core].is_none() {
-                    idle_since[core] = Some(t);
-                }
-                idle_set.insert(core);
-            }
-        }
-
-        // Retry-budget exhaustion: the rest of the batch was processed
-        // normally (its bookkeeping is already committed), but no further
-        // cycle runs and no checkpoint is taken at the abort point.
-        if aborted.is_some() {
-            break;
-        }
-
-        // Periodic checkpoint capture. The bottom of the batch is the one
-        // point where no per-batch scratch is live — the fin_*/create
-        // buffers and the master plan have all been consumed — so the full
-        // run state is exactly the long-lived locals serialised here.
-        if let Some(ctl) = checkpoint.as_mut() {
-            if now >= ctl.next_at {
-                ctl.next_at = now + ctl.every;
-                let snap = capture_snapshot(
-                    &feed,
-                    backend,
-                    scheduler,
-                    config,
-                    &*engine,
-                    &*pool,
-                    &stats,
-                    &locality,
-                    &events,
-                    &running,
-                    &idle_since,
-                    &idle_set,
-                    next_create,
-                    finished,
-                    peak_resident,
-                    makespan,
-                    master_throttled,
-                    &fault_state,
-                    &schedule,
-                );
-                if !(ctl.sink)(snap) {
-                    return Ok(None);
-                }
-            }
-        }
-    }
-
-    assert!(
-        aborted.is_some() || (feed.exhausted(next_create) && finished == next_create),
-        "simulation ended with {finished} of {next_create} created tasks finished \
-         (stream exhausted: {}) — dependence engine deadlock",
-        feed.exhausted(next_create)
-    );
-
-    stats.makespan = makespan;
-    stats.tasks_executed = finished as u64;
-    let hardware = engine.hardware_report();
-    if let Some(hw) = &hardware {
-        stats.dmu_stall_cycles = hw.stall_cycles;
-        stats.dmu_instructions = hw.instructions;
-    }
-    stats.normalize_to_makespan();
-
-    let report = RunReport {
-        workload: feed.name().to_string(),
-        backend: backend.name().to_string(),
-        scheduler: scheduler_name,
-        stats,
-        hardware,
-        tasks: finished as u64,
-        peak_resident_tasks: peak_resident,
-        faults_injected: fault_state.faults_injected,
-        retries: fault_state.retries,
-        retired_cores: fault_state.retired_cores(),
-        schedule,
-    };
-    Ok(Some(match aborted {
-        Some((task, attempts)) => RunOutcome::Aborted {
-            task,
-            attempts,
-            report,
-        },
-        None => RunOutcome::Completed(report),
-    }))
-}
-
-/// Assembles the complete run state into a [`Snapshot`], one section per
-/// subsystem (the registry in [`tdm_sim::snapshot::SECTIONS`] and the layout
-/// in `SNAPSHOT_FORMAT.md` describe each). Pure read: capture never mutates
-/// the run, so checkpointed and plain runs stay bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn capture_snapshot<F: TaskFeed>(
-    feed: &F,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-    config: &ExecConfig,
-    engine: &dyn DependenceEngine,
-    pool: &dyn Scheduler,
-    stats: &SimStats,
-    locality: &LocalityModel,
-    events: &EventQueue<usize>,
-    running: &[Option<RunningTask>],
-    idle_since: &[Option<Cycle>],
-    idle_set: &IdleSet,
-    next_create: usize,
-    finished: usize,
-    peak_resident: usize,
-    makespan: Cycle,
-    master_throttled: bool,
-    fault_state: &FaultState,
-    schedule: &[ScheduledTask],
-) -> Snapshot {
-    let feed_state = feed
-        .save_state()
-        .expect("checkpointing requires a source with a checkpoint cursor");
-    let meta = RunMeta {
-        feed_kind: feed_state[0],
-        workload: feed.name().to_string(),
-        backend: backend.clone(),
-        scheduler,
-        num_cores: config.chip.num_cores as u64,
-        seed: config.seed,
-        locality_capacity_bytes: config.locality_capacity_bytes,
-        trace_schedule: config.trace_schedule,
-        window: config.window as u64,
-        per_op_dmu: config.per_op_dmu,
-        cost_hash: debug_hash(&config.cost),
-        chip_hash: debug_hash(&config.chip),
-        fault_hash: debug_hash(&config.fault),
-    };
-
-    let mut driver = Vec::new();
-    running.to_vec().save(&mut driver);
-    idle_since.to_vec().save(&mut driver);
-    idle_set.words.save(&mut driver);
-    next_create.save(&mut driver);
-    finished.save(&mut driver);
-    peak_resident.save(&mut driver);
-    makespan.save(&mut driver);
-    master_throttled.save(&mut driver);
-
-    let mut sched_state = Vec::new();
-    pool.save_state(&mut sched_state);
-    let mut engine_state = Vec::new();
-    engine.save_state(&mut engine_state);
-
-    let mut snap = Snapshot::new();
-    snap.add_section(section::META, snapshot::to_payload(&meta));
-    snap.add_section(section::DRIVER, driver);
-    snap.add_section(section::EVENTS, snapshot::to_payload(events));
-    snap.add_section(section::STATS, snapshot::to_payload(stats));
-    snap.add_section(section::LOCALITY, snapshot::to_payload(locality));
-    snap.add_section(section::SCHEDULER, sched_state);
-    snap.add_section(section::ENGINE, engine_state);
-    snap.add_section(section::FEED, feed_state);
-    snap.add_section(section::FAULT, snapshot::to_payload(fault_state));
-    if config.trace_schedule {
-        snap.add_section(section::TRACE, snapshot::to_payload(&schedule.to_vec()));
-    }
-    snap
-}
-
-/// Pushes newly ready tasks into the scheduling pool, charging the pushing
-/// core, and wakes idle cores to pick them up.
-#[allow(clippy::too_many_arguments)]
-fn push_ready(
-    ready: &[ReadyInfo],
-    producer_core: Option<usize>,
-    t: &mut Cycle,
-    pushing_core: usize,
-    pool: &mut dyn Scheduler,
-    stats: &mut SimStats,
-    push_cost: Cycle,
-    idle_set: &mut IdleSet,
-    events: &mut EventQueue<usize>,
-) {
-    for info in ready {
-        stats.cores[pushing_core].add(Phase::Sched, push_cost);
-        *t += push_cost;
-        pool.push(ReadyEntry {
-            task: info.task,
-            num_successors: info.num_successors,
-            creation_seq: info.task.index(),
-            ready_at: *t,
-            producer_core,
-        });
-    }
-    // Wake one idle core per newly ready task, lowest-numbered first.
-    for _ in 0..ready.len() {
-        let Some(idle_core) = idle_set.pop_min() else {
-            break;
+        let fault_plan = config
+            .fault
+            .clone()
+            .map(|fc| FaultPlan::new(config.seed, fc));
+        let schedule = if config.trace_schedule {
+            Vec::with_capacity(feed.len_hint().unwrap_or(0))
+        } else {
+            Vec::new()
         };
-        events.schedule(*t, idle_core);
+        Driver {
+            backend,
+            scheduler,
+            config,
+            window: config.window.max(1),
+            engine: backend.build_engine(&config.cost, noc_round_trip, config.per_op_dmu),
+            pool,
+            push_cost,
+            pick_cost,
+            locality_benefit: feed.locality_benefit(),
+            duration_jitter: feed.duration_jitter(),
+            stats: SimStats::new(num_cores, MASTER),
+            locality: LocalityModel::new(num_cores, config.locality_capacity_bytes.max(1)),
+            events,
+            fault_plan,
+            fault_state: FaultState::new(num_cores),
+            schedule,
+            state: DriverState::new(num_cores, feed.resident()),
+            aborted: None,
+            blocks: Vec::new(),
+            feed,
+        }
+    }
+
+    /// Reinstates the mutable run state section by section. META (identity
+    /// and configuration fingerprint) was already validated by the resume
+    /// entry point, and the feed was rebuilt from FEED; the restored timing
+    /// wheel replaces the initial per-core events, since it already holds
+    /// the pending events of the interrupted run.
+    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
+        let num_cores = self.config.chip.num_cores;
+        self.stats = snapshot::from_payload(snap.section(section::STATS)?, "STATS")?;
+        same("STATS cores", self.stats.cores.len(), num_cores)?;
+        same("STATS master core", self.stats.master, MASTER)?;
+        self.locality = snapshot::from_payload(snap.section(section::LOCALITY)?, "LOCALITY")?;
+        same("LOCALITY cores", self.locality.num_cores(), num_cores)?;
+        self.events = snapshot::from_payload(snap.section(section::EVENTS)?, "EVENTS")?;
+        let mut r = Reader::new(snap.section(section::SCHEDULER)?);
+        self.pool.load_state(&mut r)?;
+        r.expect_end("SCHEDULER")?;
+        let mut r = Reader::new(snap.section(section::ENGINE)?);
+        self.engine.load_state(&mut r)?;
+        r.expect_end("ENGINE")?;
+        self.state = snapshot::from_payload(snap.section(section::DRIVER)?, "DRIVER")?;
+        self.state.check(num_cores, &self.feed)?;
+        self.fault_state = snapshot::from_payload(snap.section(section::FAULT)?, "FAULT")?;
+        same("FAULT cores", self.fault_state.num_cores(), num_cores)?;
+        if self.config.trace_schedule {
+            self.schedule = snapshot::from_payload(snap.section(section::TRACE)?, "TRACE")?;
+        }
+        Ok(())
+    }
+
+    /// Assembles the complete run state into a [`Snapshot`], one section per
+    /// subsystem (the registry in [`tdm_sim::snapshot::SECTIONS`] and the
+    /// layout in `SNAPSHOT_FORMAT.md` describe each). Pure read: capture
+    /// never mutates the run, so checkpointed and plain runs stay
+    /// bit-identical.
+    fn capture(&self) -> Snapshot {
+        let config = self.config;
+        let feed_state = self
+            .feed
+            .save_state()
+            .expect("checkpointing requires a source with a checkpoint cursor");
+        let meta = RunMeta {
+            feed_kind: feed_state[0],
+            workload: self.feed.name().to_string(),
+            backend: self.backend.clone(),
+            scheduler: self.scheduler,
+            num_cores: config.chip.num_cores as u64,
+            seed: config.seed,
+            locality_capacity_bytes: config.locality_capacity_bytes,
+            trace_schedule: config.trace_schedule,
+            window: config.window as u64,
+            per_op_dmu: config.per_op_dmu,
+            cost_hash: debug_hash(&config.cost),
+            chip_hash: debug_hash(&config.chip),
+            fault_hash: debug_hash(&config.fault),
+        };
+        let mut sched_state = Vec::new();
+        self.pool.save_state(&mut sched_state);
+        let mut engine_state = Vec::new();
+        self.engine.save_state(&mut engine_state);
+
+        let mut snap = Snapshot::new();
+        snap.add_section(section::META, snapshot::to_payload(&meta));
+        snap.add_section(section::DRIVER, snapshot::to_payload(&self.state));
+        snap.add_section(section::EVENTS, snapshot::to_payload(&self.events));
+        snap.add_section(section::STATS, snapshot::to_payload(&self.stats));
+        snap.add_section(section::LOCALITY, snapshot::to_payload(&self.locality));
+        snap.add_section(section::SCHEDULER, sched_state);
+        snap.add_section(section::ENGINE, engine_state);
+        snap.add_section(section::FEED, feed_state);
+        snap.add_section(section::FAULT, snapshot::to_payload(&self.fault_state));
+        if config.trace_schedule {
+            snap.add_section(section::TRACE, snapshot::to_payload(&self.schedule));
+        }
+        snap
+    }
+
+    /// Runs the event loop to completion, capturing a checkpoint whenever
+    /// `checkpoint` says one is due. Returns `None` when the checkpoint sink
+    /// halted the run.
+    ///
+    /// Batched same-cycle delivery: every event of the current cycle is
+    /// drained from the timing wheel in one operation (a single occupancy
+    /// scan + bucket detach) and processed in FIFO order, instead of paying
+    /// a queue pop per event. Events scheduled *for the same cycle* while
+    /// the batch runs are picked up by the next `pop_batch` — exactly the
+    /// position serial pops would have delivered them in (behind everything
+    /// already pending), so the executed timeline is bit-identical to the
+    /// one-pop-at-a-time loop this replaces.
+    fn run(mut self, mut checkpoint: Option<CheckpointCtl<'_>>) -> Option<RunOutcome> {
+        let mut cores: Vec<usize> = Vec::new();
+        let mut batch = Batch::default();
+        while let Some(now) = self.events.pop_batch(&mut cores) {
+            let plan = self.engine_pass(now, &cores, &mut batch);
+            for &core in &cores {
+                self.bookkeep(now, core, plan, &mut batch);
+            }
+
+            // Retry-budget exhaustion: the rest of the batch was processed
+            // normally (its bookkeeping is already committed), but no further
+            // cycle runs and no checkpoint is taken at the abort point.
+            if self.aborted.is_some() {
+                break;
+            }
+
+            // Periodic checkpoint capture. The bottom of the batch is the one
+            // point where no per-batch scratch is live — the batch buffers
+            // and the master plan have all been consumed — so the full run
+            // state is exactly the driver's fields.
+            if let Some(ctl) = checkpoint.as_mut() {
+                if now >= ctl.next_at {
+                    ctl.next_at = now + ctl.every;
+                    if !(ctl.sink)(self.capture()) {
+                        return None;
+                    }
+                }
+            }
+        }
+        Some(self.into_outcome())
+    }
+
+    /// Pass A: every engine call of this batch, issued in event order.
+    ///
+    /// The engine sees exactly the operation sequence the per-event loop
+    /// would issue — finishes of cores up to and including the master, the
+    /// master's creation attempt, then the remaining finishes — but the
+    /// finish runs go through `finish_batch`, which amortises per-call work
+    /// across the whole cycle. Engine calls never read the scheduler pool,
+    /// the idle set or the event queue, and the driver bookkeeping replayed
+    /// in Pass B never touches the engine, so the two-pass split is
+    /// observably identical to the interleaved loop it replaces (the per-op
+    /// conformance suite pins this).
+    fn engine_pass(&mut self, now: Cycle, cores: &[usize], batch: &mut Batch) -> MasterPlan {
+        batch.clear();
+        let Some(master_pos) = cores.iter().position(|&c| c == MASTER) else {
+            self.complete_all(now, cores, batch);
+            return MasterPlan::None;
+        };
+        let (up_to_master, after_master) = cores.split_at(master_pos + 1);
+        self.complete_all(now, up_to_master, batch);
+
+        // The master's creation decision, evaluated against the state it
+        // observes mid-batch: finishes processed before its event reset the
+        // throttle and shrink the in-flight window.
+        let first_run = batch.fin_tasks.len();
+        let state = &mut self.state;
+        let mut plan = MasterPlan::None;
+        let throttled_mid = state.master_throttled && first_run == 0;
+        if !throttled_mid && !self.feed.exhausted(state.next_create) {
+            if state.next_create - (state.finished + first_run) >= self.window {
+                plan = MasterPlan::Throttle;
+            } else {
+                // The cycle the master reaches its creation attempt at: its
+                // own finish cost plus one push per task that finish readied
+                // — or, if its own task failed this batch, the
+                // failure-detection path (engine failure cost plus detection
+                // latency) instead.
+                let mut t_master = now;
+                let master_fail = batch.fail_events.iter().find(|f| f.1 == MASTER);
+                if let (Some(&(_, _, cost)), Some(fault)) = (master_fail, &self.fault_plan) {
+                    t_master = now + cost + fault.config().detect_cost;
+                } else if let Some(&(_, MASTER)) = batch.fin_tasks.last() {
+                    let (start, end) = batch.fin_spans[first_run - 1];
+                    t_master = now
+                        + batch.fin_costs[first_run - 1]
+                        + self.push_cost.scaled((end - start) as u64);
+                }
+                let task = TaskRef(state.next_create);
+                let spec = self.feed.fetch(state.next_create);
+                let outcome =
+                    self.engine
+                        .create_task(t_master, task, spec, &mut batch.create_ready);
+                state.peak_resident = state.peak_resident.max(self.feed.resident());
+                plan = MasterPlan::Created {
+                    cost: outcome.cost,
+                    completed: outcome.completed,
+                };
+            }
+        }
+        self.complete_all(now, after_master, batch);
+        plan
+    }
+
+    /// The completion boundary of every core in `cores` that is running a
+    /// task: a transient failure (the result is lost and the task must
+    /// re-run) joins the batch's failures, a success its finishes, which are
+    /// then issued to the engine in one `finish_batch`. Sticky core
+    /// retirement is drawn at the same boundary. Both draws are pure,
+    /// keyed on stable identities, so the decisions are identical across
+    /// backends, schedulers and resume.
+    fn complete_all(&mut self, now: Cycle, cores: &[usize], batch: &mut Batch) {
+        let before = batch.fin_tasks.len();
+        for &core in cores {
+            if core == RETRY_EVENT {
+                continue;
+            }
+            let Some(rt) = self.state.running[core].take() else {
+                continue;
+            };
+            let plan = self.fault_plan.as_ref();
+            if self
+                .fault_state
+                .complete(plan, rt.task, core, core != MASTER)
+            {
+                let cost = self.engine.fail_task(now, rt.task, core);
+                batch.fail_events.push((rt, core, cost));
+            } else {
+                batch.fin_tasks.push((rt.task, core));
+            }
+        }
+        self.engine.finish_batch(
+            now,
+            &batch.fin_tasks[before..],
+            &mut batch.fin_costs,
+            &mut batch.fin_ready,
+            &mut batch.fin_spans,
+        );
+        for &(task, _) in &batch.fin_tasks[before..] {
+            self.feed.release(task);
+        }
+    }
+
+    /// Pass B: the driver bookkeeping of one event of the batch, replayed
+    /// in batch order.
+    fn bookkeep(&mut self, now: Cycle, core: usize, plan: MasterPlan, batch: &mut Batch) {
+        if core == RETRY_EVENT {
+            self.dispatch_retries(now);
+            return;
+        }
+        let mut t = now;
+
+        // Phase 0b: the injected failure this core contributed, if any. The
+        // task never finished: dependents stay blocked, the window stays
+        // occupied and the master throttle is NOT reset. The core pays the
+        // engine's failure path plus fault-detection latency, then the task
+        // is queued for re-issue after a linear backoff — or, past the
+        // retry budget, the run aborts at the end of this batch.
+        let failed = batch
+            .fail_events
+            .get(batch.next_fail)
+            .filter(|f| f.1 == core);
+        if let Some(&(rt, _, engine_cost)) = failed {
+            batch.next_fail += 1;
+            let plan = self
+                .fault_plan
+                .as_ref()
+                .expect("failures are only injected when a fault plan exists");
+            let cost = engine_cost + plan.config().detect_cost;
+            self.stats.cores[core].add(Phase::Deps, cost);
+            t += cost;
+            self.state.makespan = self.state.makespan.max(t);
+            let count = self.fault_state.record_failure(rt.task);
+            if count > plan.config().retry_budget {
+                self.aborted.get_or_insert((rt.task, count));
+            } else {
+                let due = t + plan.backoff_delay(count);
+                self.fault_state.push_retry(due, rt.task, rt.num_successors);
+                self.events.schedule(due, RETRY_EVENT);
+            }
+        }
+
+        // Phase 1: the finish this core contributed to the batch, if any.
+        let fin = batch.fin_tasks.get(batch.next_fin).filter(|f| f.1 == core);
+        if let Some(&(task, _)) = fin {
+            let fin_cost = batch.fin_costs[batch.next_fin];
+            let (start, end) = batch.fin_spans[batch.next_fin];
+            batch.next_fin += 1;
+            // Any finish releases DMU resources and shrinks the in-flight
+            // window, so a throttled master may retry creation at its next
+            // opportunity.
+            self.state.master_throttled = false;
+            self.stats.cores[core].add(Phase::Deps, fin_cost);
+            t += fin_cost;
+            self.state.finished += 1;
+            if self.config.trace_schedule {
+                self.schedule.push(ScheduledTask {
+                    task,
+                    core,
+                    finish: t,
+                });
+            }
+            self.state.makespan = self.state.makespan.max(t);
+            t = self.push_ready(&batch.fin_ready[start..end], Some(core), core, t);
+
+            // The finish freed DMU resources (and may have readied tasks):
+            // make sure a throttled or idle master gets a chance to resume
+            // creation.
+            if core != MASTER
+                && !self.feed.exhausted(self.state.next_create)
+                && self.state.idle_set.remove(MASTER)
+            {
+                self.events.schedule(t, MASTER);
+            }
+        }
+
+        // Phase 2: the master's creation attempt, decided in Pass A.
+        //
+        // When a creation attempt stalls on a full DMU structure, or the
+        // in-flight count reaches the configured window, the master does not
+        // busy-wait: like a throttled runtime system it falls through to the
+        // worker path, executes a task (or goes idle) and retries creation
+        // after the next finish.
+        if core == MASTER {
+            match plan {
+                MasterPlan::None => {}
+                MasterPlan::Throttle => self.state.master_throttled = true,
+                MasterPlan::Created { cost, completed } => {
+                    self.stats.cores[MASTER].add(Phase::Deps, cost);
+                    t += cost;
+                    t = self.push_ready(&batch.create_ready, None, MASTER, t);
+                    if completed {
+                        self.state.next_create += 1;
+                        self.events.schedule(t, MASTER);
+                        return;
+                    }
+                    self.state.master_throttled = true;
+                }
+            }
+        }
+
+        // Phase 3: worker behaviour — schedule and execute a ready task.
+        if self.feed.exhausted(self.state.next_create)
+            && self.state.finished >= self.state.next_create
+        {
+            return;
+        }
+        // A retired core never takes new work and never joins the idle set
+        // (it cannot be woken). If ready work is pending, hand the wake-up to
+        // an idle survivor so the pool is never stranded on a core that just
+        // died.
+        if self.fault_state.is_retired(core) {
+            if !self.pool.is_empty() {
+                if let Some(idle_core) = self.state.idle_set.pop_min() {
+                    self.events.schedule(t, idle_core);
+                }
+            }
+            return;
+        }
+        self.dispatch(core, t);
+    }
+
+    /// Phase 0: retry dispatch. A sentinel event re-issues every due entry
+    /// of the retry queue to the scheduling pool, in insertion order, and
+    /// wakes idle cores to pick them up. Re-issue itself is modeled free:
+    /// the retry watchdog runs off the critical path, and the backoff delay
+    /// already charged the latency.
+    fn dispatch_retries(&mut self, now: Cycle) {
+        let pool = &mut self.pool;
+        let dispatched = self.fault_state.drain_due(now, |task, num_successors| {
+            pool.push(ReadyEntry {
+                task,
+                num_successors,
+                creation_seq: task.index(),
+                ready_at: now,
+                producer_core: None,
+            });
+        });
+        self.wake_idle(dispatched, now);
+    }
+
+    /// Phase 3: `core` picks a ready task at cycle `t` and executes it, or
+    /// goes idle when the pool is empty.
+    fn dispatch(&mut self, core: usize, mut t: Cycle) {
+        let Some(entry) = self.pool.pop(core) else {
+            self.state.idle_since[core].get_or_insert(t);
+            self.state.idle_set.insert(core);
+            return;
+        };
+        if let Some(since) = self.state.idle_since[core].take() {
+            self.stats.cores[core].add(Phase::Idle, t.saturating_sub(since));
+        }
+        self.state.idle_set.remove(core);
+        self.stats.cores[core].add(Phase::Sched, self.pick_cost);
+        t += self.pick_cost;
+
+        let jitter = self.jitter(entry.task);
+        let spec = self.feed.spec(entry.task);
+        let blocks = &mut self.blocks;
+        blocks.clear();
+        blocks.extend(spec.blocks(|_| true));
+        let hit_fraction = self.locality.probe(core, blocks).hit_fraction();
+        let locality_factor = 1.0 - self.locality_benefit * hit_fraction;
+        let duration = spec.duration.scaled_f64(locality_factor * jitter);
+        blocks.clear();
+        blocks.extend(spec.blocks(DepDirection::reads));
+        self.locality.record_reads(core, blocks);
+        blocks.clear();
+        blocks.extend(spec.blocks(DepDirection::writes));
+        self.locality.record_writes(core, blocks);
+
+        self.stats.cores[core].add(Phase::Exec, duration);
+        self.state.running[core] = Some(RunningTask {
+            task: entry.task,
+            num_successors: entry.num_successors,
+        });
+        self.events.schedule(t + duration, core);
+    }
+
+    /// Deterministic per-task duration jitter: the same task gets the same
+    /// duration regardless of scheduler or backend, so comparisons are fair.
+    fn jitter(&self, task: TaskRef) -> f64 {
+        if self.duration_jitter == 0.0 {
+            return 1.0;
+        }
+        let seed = self.config.seed ^ (task.index() as u64).wrapping_mul(0x9E37);
+        SplitMix64::new(seed).jitter(self.duration_jitter)
+    }
+
+    /// Pushes newly ready tasks into the scheduling pool, charging
+    /// `pushing_core` one push each from cycle `t`, and wakes idle cores to
+    /// pick them up. Returns the cycle the pushes end at.
+    fn push_ready(
+        &mut self,
+        ready: &[ReadyInfo],
+        producer_core: Option<usize>,
+        pushing_core: usize,
+        mut t: Cycle,
+    ) -> Cycle {
+        for info in ready {
+            self.stats.cores[pushing_core].add(Phase::Sched, self.push_cost);
+            t += self.push_cost;
+            self.pool.push(ReadyEntry {
+                task: info.task,
+                num_successors: info.num_successors,
+                creation_seq: info.task.index(),
+                ready_at: t,
+                producer_core,
+            });
+        }
+        self.wake_idle(ready.len(), t);
+        t
+    }
+
+    /// Wakes up to `count` idle cores at cycle `t`, lowest-numbered first.
+    fn wake_idle(&mut self, count: usize, t: Cycle) {
+        for _ in 0..count {
+            let Some(idle_core) = self.state.idle_set.pop_min() else {
+                break;
+            };
+            self.events.schedule(t, idle_core);
+        }
+    }
+
+    /// The run's outcome once the event loop has drained or aborted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the loop drained with created tasks unfinished or the feed
+    /// not exhausted: a dependence-engine deadlock.
+    fn into_outcome(self) -> RunOutcome {
+        let (next_create, finished) = (self.state.next_create, self.state.finished);
+        assert!(
+            self.aborted.is_some() || (self.feed.exhausted(next_create) && finished == next_create),
+            "simulation ended with {finished} of {next_create} created tasks finished \
+             (stream exhausted: {}) — dependence engine deadlock",
+            self.feed.exhausted(next_create)
+        );
+
+        let mut stats = self.stats;
+        stats.makespan = self.state.makespan;
+        stats.tasks_executed = finished as u64;
+        let hardware = self.engine.hardware_report();
+        if let Some(hw) = &hardware {
+            stats.dmu_stall_cycles = hw.stall_cycles;
+            stats.dmu_instructions = hw.instructions;
+        }
+        stats.normalize_to_makespan();
+
+        let scheduler = if self.backend.hardware_scheduling() {
+            "HW-FIFO"
+        } else {
+            self.scheduler.name()
+        };
+        let report = RunReport {
+            workload: self.feed.name().to_string(),
+            backend: self.backend.name().to_string(),
+            scheduler: scheduler.to_string(),
+            stats,
+            hardware,
+            tasks: finished as u64,
+            peak_resident_tasks: self.state.peak_resident,
+            faults_injected: self.fault_state.faults_injected,
+            retries: self.fault_state.retries,
+            retired_cores: self.fault_state.retired_cores(),
+            schedule: self.schedule,
+        };
+        match self.aborted {
+            Some((task, attempts)) => RunOutcome::Aborted {
+                task,
+                attempts,
+                report,
+            },
+            None => RunOutcome::Completed(report),
+        }
     }
 }
 
@@ -1822,64 +1830,39 @@ impl RunMeta {
     /// snapshot was taken under. Every mismatch is its own actionable error
     /// — the operator learns *which* knob diverged.
     fn validate(&self, workload: &str, config: &ExecConfig) -> Result<(), SnapshotError> {
-        let fail = |context: String| Err(SnapshotError::Corrupt { context });
-        if self.workload != workload {
-            return fail(format!(
-                "snapshot was taken on workload {:?}, not {workload:?}",
-                self.workload
-            ));
-        }
-        if self.num_cores != config.chip.num_cores as u64 {
-            return fail(format!(
-                "snapshot was taken with {} cores but the resuming config has {}",
-                self.num_cores, config.chip.num_cores
-            ));
-        }
-        if self.seed != config.seed {
-            return fail(format!(
-                "snapshot was taken with seed {} but the resuming config has seed {}",
-                self.seed, config.seed
-            ));
-        }
-        if self.locality_capacity_bytes != config.locality_capacity_bytes {
-            return fail(format!(
-                "snapshot was taken with locality capacity {} B but the resuming \
-                 config has {} B",
-                self.locality_capacity_bytes, config.locality_capacity_bytes
-            ));
-        }
-        if self.trace_schedule != config.trace_schedule {
-            return fail(format!(
-                "snapshot was taken with trace_schedule={} but the resuming config \
-                 has trace_schedule={}",
-                self.trace_schedule, config.trace_schedule
-            ));
-        }
-        if self.window != config.window as u64 {
-            return fail(format!(
-                "snapshot was taken with window {} but the resuming config has \
-                 window {}",
-                self.window, config.window
-            ));
-        }
-        if self.per_op_dmu != config.per_op_dmu {
-            return fail(format!(
-                "snapshot was taken with per_op_dmu={} but the resuming config has \
-                 per_op_dmu={}",
-                self.per_op_dmu, config.per_op_dmu
-            ));
-        }
-        if self.cost_hash != debug_hash(&config.cost) {
-            return fail("snapshot was taken under a different cost model".to_string());
-        }
-        if self.chip_hash != debug_hash(&config.chip) {
-            return fail("snapshot was taken under a different chip configuration".to_string());
-        }
-        if self.fault_hash != debug_hash(&config.fault) {
-            return fail("snapshot was taken under a different fault configuration".to_string());
-        }
-        Ok(())
+        let capacity = config.locality_capacity_bytes;
+        let cost = debug_hash(&config.cost);
+        let (chip, fault) = (debug_hash(&config.chip), debug_hash(&config.fault));
+        same("workload", self.workload.as_str(), workload)?;
+        same("num_cores", self.num_cores, config.chip.num_cores as u64)?;
+        same("seed", self.seed, config.seed)?;
+        same(
+            "locality_capacity_bytes",
+            self.locality_capacity_bytes,
+            capacity,
+        )?;
+        same("trace_schedule", self.trace_schedule, config.trace_schedule)?;
+        same("window", self.window, config.window as u64)?;
+        same("per_op_dmu", self.per_op_dmu, config.per_op_dmu)?;
+        same("cost model fingerprint", self.cost_hash, cost)?;
+        same("chip configuration fingerprint", self.chip_hash, chip)?;
+        same("fault configuration fingerprint", self.fault_hash, fault)
     }
+}
+
+/// Fails unless the snapshot's `what` equals the resuming run's: a META
+/// knob of the configuration, or the extent of a restored section.
+fn same<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    snapshot: T,
+    resuming: T,
+) -> Result<(), SnapshotError> {
+    if snapshot == resuming {
+        return Ok(());
+    }
+    Err(SnapshotError::Corrupt {
+        context: format!("{what}: the snapshot has {snapshot:?}, the resuming run {resuming:?}"),
+    })
 }
 
 // Compile-time Send contract: the parallel design-space sweep runner
@@ -2391,6 +2374,54 @@ mod tests {
         }
         let err = refuse(&w, &eager, &config);
         assert!(err.to_string().contains("retired eager"), "{err}");
+    }
+
+    /// A CRC-valid DRIVER section that contradicts itself or the FEED is a
+    /// typed error: the window arithmetic downstream is unchecked in
+    /// release builds, so these loads must never reach the event loop.
+    #[test]
+    fn resume_rejects_inconsistent_driver_state() {
+        let w = chains_workload(3, 6, 20.0);
+        let config = small_chip(4).with_checkpoint_every(ChipConfig::default().micros(50.0));
+        let (_, snaps) = checkpoints(&w, SchedulerKind::Fifo, &config, None);
+        let snap = &snaps[0];
+        let with_driver = |patch: &dyn Fn(&mut DriverState)| {
+            let payload = snap.section(section::DRIVER).unwrap();
+            let mut state: DriverState = snapshot::from_payload(payload, "DRIVER").unwrap();
+            patch(&mut state);
+            let mut patched = Snapshot::new();
+            for id in snap.section_ids() {
+                let payload = match id {
+                    section::DRIVER => snapshot::to_payload(&state),
+                    _ => snap.section(id).unwrap().to_vec(),
+                };
+                patched.add_section(id, payload);
+            }
+            resume_stream_outcome(&mut WorkloadSource::new(&w), &patched, &config)
+        };
+        assert!(with_driver(&|_| {}).is_ok());
+
+        let err = with_driver(&|s| s.finished = s.next_create + 1).unwrap_err();
+        assert!(err.to_string().contains("DRIVER records"), "{err}");
+
+        let err = with_driver(&|s| {
+            let rt = s.running.iter_mut().flatten().next().expect("a busy core");
+            rt.task = TaskRef(s.next_create);
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("DRIVER runs"), "{err}");
+
+        let err = with_driver(&|s| {
+            let busy: Vec<usize> = (0..s.running.len())
+                .filter(|&core| s.running[core].is_some())
+                .collect();
+            s.running[busy[1]] = s.running[busy[0]];
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("on two cores"), "{err}");
+
+        let err = with_driver(&|s| s.idle_since.truncate(1)).unwrap_err();
+        assert!(err.to_string().contains("DRIVER idle_since"), "{err}");
     }
 
     #[test]

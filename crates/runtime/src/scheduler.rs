@@ -19,14 +19,13 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use tdm_sim::clock::Cycle;
 use tdm_sim::snapshot::{Persist, Reader, SnapshotError};
 
 use crate::task::TaskRef;
 
 /// A ready task as seen by a scheduler, with the metadata the policies need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadyEntry {
     /// The ready task.
     pub task: TaskRef,
@@ -81,7 +80,7 @@ pub trait Scheduler: Send {
 
 /// Scheduler selection, used by harnesses and examples to construct policies
 /// by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// First-in first-out by readiness time.
     Fifo,

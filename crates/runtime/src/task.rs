@@ -6,7 +6,6 @@
 //! clauses) and its execution duration. The benchmark generators in
 //! `tdm-workloads` produce these; the runtime backends consume them.
 
-use serde::{Deserialize, Serialize};
 use tdm_core::ids::DepDirection;
 use tdm_sim::clock::Cycle;
 
@@ -17,7 +16,7 @@ use tdm_sim::clock::Cycle;
 pub const DEFAULT_DURATION_JITTER: f64 = 0.02;
 
 /// Index of a task within its [`Workload`] (program creation order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskRef(pub usize);
 
 impl TaskRef {
@@ -34,7 +33,7 @@ impl std::fmt::Display for TaskRef {
 }
 
 /// One data dependence declared by a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DependenceSpec {
     /// Base address of the data the task touches.
     pub addr: u64,
@@ -75,7 +74,7 @@ impl DependenceSpec {
 }
 
 /// One task, as the master thread would create it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSpec {
     /// Short label for the task's kind (e.g. `"sgemm"`, `"io"`); used by
     /// reports and by workload-specific assertions in tests.
@@ -129,7 +128,7 @@ impl TaskSpec {
 
 /// A complete parallel region: the ordered stream of tasks the master thread
 /// creates, plus workload-level modelling knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Benchmark name (e.g. `"cholesky"`).
     pub name: String,

@@ -17,14 +17,12 @@
 //! once (software has no capacity limits), which also gives the cost model
 //! the per-task edge counts it needs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fast_map::FastMap;
 use crate::task::{TaskRef, Workload};
 
 /// The dependence graph of a workload: predecessor/successor adjacency in
 /// program order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskGraph {
     /// `successors[i]` = tasks that must wait for task `i`.
     successors: Vec<Vec<TaskRef>>,

@@ -16,15 +16,13 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::fast_map::FastMap;
 
 /// Identifier of a data block: the base address of a dependence range.
 pub type BlockAddr = u64;
 
 /// Result of probing the locality model for one task's working set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LocalityOutcome {
     /// Bytes of the working set that were resident on the executing core.
     pub hit_bytes: u64,
@@ -52,7 +50,7 @@ impl LocalityOutcome {
 }
 
 /// One core's recently-touched blocks, in LRU order (front = most recent).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct CoreResidency {
     /// (block address, block size in bytes), most-recently-used first.
     blocks: VecDeque<(BlockAddr, u64)>,
@@ -136,7 +134,7 @@ fn remove_holder(holders: &mut FastMap<BlockAddr, Vec<u32>>, addr: BlockAddr, co
 /// assert_eq!(model.probe(0, &[(0x1000, 16 * 1024)]).hit_bytes, 16 * 1024);
 /// assert_eq!(model.probe(1, &[(0x1000, 16 * 1024)]).miss_bytes, 16 * 1024);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalityModel {
     capacity_bytes: u64,
     cores: Vec<CoreResidency>,

@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, or a span of simulated time, in clock cycles.
 ///
 /// `Cycle` is used both as an absolute timestamp (cycles since the start of
@@ -28,10 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(start + latency, Cycle::new(116));
 /// assert_eq!((start + latency) - start, latency);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
 impl Cycle {
@@ -191,7 +186,7 @@ impl fmt::Display for Cycle {
 /// assert_eq!(f.cycles_from_nanos(50.0).raw(), 100);
 /// assert!((f.micros_from_cycles(f.cycles_from_micros(183.0)) - 183.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frequency {
     hz: f64,
 }

@@ -9,8 +9,6 @@
 //! and for the `table01_config` harness, even though the phase-level timing
 //! model does not consume them directly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::{Cycle, Frequency};
 
 /// Out-of-order core parameters from Table I.
@@ -18,7 +16,7 @@ use crate::clock::{Cycle, Frequency};
 /// These values document the simulated core. The phase-level timing model
 /// does not replay individual instructions, so they are informational, but
 /// the runtime cost model is calibrated against a core of this class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
     /// Instructions fetched / issued / committed per cycle.
     pub issue_width: u32,
@@ -48,7 +46,7 @@ impl Default for CoreConfig {
 }
 
 /// Cache and memory hierarchy parameters from Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryConfig {
     /// Private L1 data cache size in bytes (32 KB in the paper).
     pub l1_size_bytes: u64,
@@ -102,7 +100,7 @@ impl MemoryConfig {
 /// assert_eq!(chip.num_cores, 32);
 /// assert_eq!(chip.frequency.as_ghz(), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipConfig {
     /// Number of cores on the chip (32 in the paper's evaluation).
     pub num_cores: usize,

@@ -9,8 +9,6 @@
 //! model a 2D mesh with the DMU at the center and per-hop latency from the
 //! chip configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::Cycle;
 use crate::config::ChipConfig;
 
@@ -27,7 +25,7 @@ use crate::config::ChipConfig;
 /// // A core in the middle of the mesh is closer to the DMU than a corner core.
 /// assert!(noc.round_trip(0) >= noc.round_trip(noc.nearest_core()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NocModel {
     /// Mesh width (`ceil(sqrt(num_cores))`).
     width: usize,

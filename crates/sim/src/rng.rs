@@ -33,8 +33,6 @@
 //! workspace root) enforces the end-to-end consequence: identical
 //! `RunReport`s, schedules and makespans across repeated seeded runs.
 
-use serde::{Deserialize, Serialize};
-
 /// A SplitMix64 pseudo-random number generator.
 ///
 /// SplitMix64 passes BigCrush, has a full 2^64 period over its state, and is
@@ -50,7 +48,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = SplitMix64::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64()); // same seed, same stream
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }

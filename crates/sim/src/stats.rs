@@ -10,13 +10,11 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::Cycle;
 
 /// The execution phases distinguished by the paper's characterization
 /// (Section II-B, Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Dependence management during task creation and task finalization.
     Deps,
@@ -64,7 +62,7 @@ impl fmt::Display for Phase {
 /// assert_eq!(b.total(), Cycle::new(1000));
 /// assert!((b.fraction(Phase::Exec) - 0.9).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoreBreakdown {
     deps: Cycle,
     sched: Cycle,
@@ -156,7 +154,7 @@ impl IndexMut<Phase> for CoreBreakdown {
 /// `master` is the core that creates tasks (core 0 in this reproduction, core
 /// 1 in the paper's Figure 1 timeline — the choice is immaterial); `workers`
 /// are the remaining cores.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimStats {
     /// Total execution time of the parallel region (makespan) in cycles.
     pub makespan: Cycle,

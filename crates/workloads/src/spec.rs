@@ -8,13 +8,12 @@
 //! iterate over the suite, plus the calibration targets the generators are
 //! validated against.
 
-use serde::{Deserialize, Serialize};
 use tdm_runtime::task::Workload;
 
 use crate::stream::TaskStream;
 
 /// The nine benchmarks of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Benchmark {
     /// PARSECSs Blackscholes: option pricing, fork-join chains.
     Blackscholes,

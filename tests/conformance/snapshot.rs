@@ -21,7 +21,8 @@ use tdm::runtime::exec::{
     resume_stream_outcome, simulate_stream, simulate_stream_checkpointed_outcome,
 };
 use tdm::runtime::stream::WorkloadSource;
-use tdm::sim::snapshot::{self, section, Snapshot, SnapshotError};
+use tdm::runtime::task::TaskRef;
+use tdm::sim::snapshot::{self, section, Persist, Reader, Snapshot, SnapshotError};
 
 /// A capture interval that yields several checkpoints over `straight`'s
 /// makespan (and at least one even for degenerate runs).
@@ -262,6 +263,172 @@ fn damaged_snapshots_are_rejected() {
     assert!(
         Snapshot::from_bytes(&corrupt).is_err(),
         "flipped payload byte accepted"
+    );
+}
+
+/// The DRIVER section's fields, in `SNAPSHOT_FORMAT.md` order.
+struct DriverFields {
+    running: Vec<Option<(TaskRef, u32)>>,
+    idle_since: Vec<Option<Cycle>>,
+    idle_words: Vec<u64>,
+    next_create: usize,
+    finished: usize,
+    peak_resident: usize,
+    makespan: Cycle,
+    master_throttled: bool,
+}
+
+impl DriverFields {
+    fn decode(snap: &Snapshot) -> DriverFields {
+        let mut r = Reader::new(snap.section(section::DRIVER).expect("DRIVER present"));
+        let fields = DriverFields {
+            running: Persist::load(&mut r).expect("running"),
+            idle_since: Persist::load(&mut r).expect("idle_since"),
+            idle_words: Persist::load(&mut r).expect("idle words"),
+            next_create: Persist::load(&mut r).expect("next_create"),
+            finished: Persist::load(&mut r).expect("finished"),
+            peak_resident: Persist::load(&mut r).expect("peak_resident"),
+            makespan: Persist::load(&mut r).expect("makespan"),
+            master_throttled: Persist::load(&mut r).expect("master_throttled"),
+        };
+        r.expect_end("DRIVER").expect("DRIVER fully decoded");
+        fields
+    }
+
+    /// `snap` with its DRIVER section replaced by these fields, pushed
+    /// through the binary codec so every CRC is valid.
+    fn patched_into(&self, snap: &Snapshot) -> Snapshot {
+        let mut driver = Vec::new();
+        self.running.save(&mut driver);
+        self.idle_since.save(&mut driver);
+        self.idle_words.save(&mut driver);
+        self.next_create.save(&mut driver);
+        self.finished.save(&mut driver);
+        self.peak_resident.save(&mut driver);
+        self.makespan.save(&mut driver);
+        self.master_throttled.save(&mut driver);
+        let mut patched = Snapshot::new();
+        for id in snap.section_ids() {
+            let payload = if id == section::DRIVER {
+                driver.clone()
+            } else {
+                snap.section(id).expect("listed section").to_vec()
+            };
+            patched.add_section(id, payload);
+        }
+        Snapshot::from_bytes(&patched.to_bytes()).expect("re-encoded CRC passes")
+    }
+}
+
+/// The first quarter-makespan checkpoint of the first small benchmark on
+/// TDM × FIFO, with the workload and config to resume it under.
+fn first_tdm_checkpoint() -> (Workload, ExecConfig, Snapshot) {
+    let workload = small_benchmarks().swap_remove(0);
+    let straight = straight_of(
+        &workload,
+        &Backend::tdm_default(),
+        SchedulerKind::Fifo,
+        &conformance_config(),
+    );
+    let config = conformance_config().with_checkpoint_every(quarter_interval(&straight));
+    let snap = checkpoints_of(
+        &workload,
+        &Backend::tdm_default(),
+        SchedulerKind::Fifo,
+        &config,
+        &straight,
+    )
+    .swap_remove(0);
+    (workload, config, snap)
+}
+
+/// Asserts that resuming `snap` fails with a `Corrupt` error naming DRIVER.
+fn assert_driver_rejected(workload: &Workload, snap: &Snapshot, config: &ExecConfig) {
+    let err = resume_workload(workload, snap, config).expect_err("inconsistent DRIVER resumed");
+    let SnapshotError::Corrupt { context } = &err else {
+        panic!("expected a Corrupt error, got {err:?}");
+    };
+    assert!(context.contains("DRIVER"), "{context}");
+}
+
+/// A CRC-valid DRIVER section claiming more finished tasks than were ever
+/// created is refused with a typed error, not run into a deadlock panic.
+#[test]
+fn driver_finishing_more_than_created_is_rejected() {
+    let (workload, config, snap) = first_tdm_checkpoint();
+    let mut fields = DriverFields::decode(&snap);
+    fields.finished = fields.next_create + 3;
+    assert_driver_rejected(&workload, &fields.patched_into(&snap), &config);
+}
+
+/// A CRC-valid DRIVER section whose busy core runs a task the FEED does not
+/// hold in flight is refused with a typed error, not an engine panic.
+#[test]
+fn driver_running_a_task_outside_the_feed_is_rejected() {
+    let (workload, config, snap) = first_tdm_checkpoint();
+    let mut fields = DriverFields::decode(&snap);
+    let busy = fields
+        .running
+        .iter()
+        .position(Option::is_some)
+        .expect("a core is busy at the first checkpoint");
+    let (_, successors) = fields.running[busy].expect("busy core");
+    fields.running[busy] = Some((TaskRef(fields.next_create + 5), successors));
+    assert_driver_rejected(&workload, &fields.patched_into(&snap), &config);
+}
+
+/// CRC-32 of the second checkpoint of [`pinned_snapshot_bytes_are_stable`]'s
+/// run, recorded when the format was last changed on purpose.
+const PINNED_SNAPSHOT_CRC: u32 = 0xfc8a_83f3;
+
+/// The snapshot bytes of one fixed run are pinned across commits: TDM with
+/// 30% transient faults and schedule tracing, so every section is written.
+/// A refactor that moves a byte of any section fails here; a deliberate
+/// layout change must bump `FORMAT_VERSION` and re-record the constant.
+#[test]
+fn pinned_snapshot_bytes_are_stable() {
+    let workload = &small_benchmarks()[0];
+    let config = conformance_config().with_faults(
+        FaultConfig::default()
+            .with_fault_rate(0.3)
+            .with_max_faults_per_task(2)
+            .with_retry_budget(8),
+    );
+    let straight = straight_of(
+        workload,
+        &Backend::tdm_default(),
+        SchedulerKind::Fifo,
+        &config,
+    );
+    assert!(
+        straight.faults_injected > 0,
+        "the pinned run injects faults"
+    );
+    let config = config.with_checkpoint_every(quarter_interval(&straight));
+    let snaps = checkpoints_of(
+        workload,
+        &Backend::tdm_default(),
+        SchedulerKind::Fifo,
+        &config,
+        &straight,
+    );
+    let snap = &snaps[1];
+    // BENCH is the one registered section the driver never writes.
+    for info in snapshot::SECTIONS
+        .iter()
+        .filter(|info| info.id != section::BENCH)
+    {
+        assert!(
+            snap.section(info.id).is_ok(),
+            "the pinned snapshot lacks {}",
+            info.name
+        );
+    }
+    let crc = snapshot::crc32(&snap.to_bytes());
+    assert_eq!(
+        crc, PINNED_SNAPSHOT_CRC,
+        "snapshot bytes drifted (CRC-32 {crc:#010x}): a layout change needs a \
+         FORMAT_VERSION bump and a re-recorded pin"
     );
 }
 
