@@ -266,19 +266,24 @@ fn run_or_smoke(options: &Options) -> ExitCode {
     let mut failures = 0;
     let mut total_faults = 0u64;
     let mut total_retries = 0u64;
+    let (mut completed, mut halted) = (0usize, 0usize);
     for bench in selected(options) {
         let (tasks, peak, throughput, makespan, faults, retries) =
             match scaled_run(bench, options, &config) {
                 Ok(Some(outcome)) => outcome,
                 // Halted at a checkpoint on request: the snapshot on disk is
                 // the deliverable, not a completed run.
-                Ok(None) => continue,
+                Ok(None) => {
+                    halted += 1;
+                    continue;
+                }
                 Err(message) => {
                     eprintln!("FAIL {}: {message}", bench.name());
                     failures += 1;
                     continue;
                 }
             };
+        completed += 1;
         total_faults += faults;
         total_retries += retries;
         println!(
@@ -309,9 +314,8 @@ fn run_or_smoke(options: &Options) -> ExitCode {
     }
     if let Some(fault) = &options.fault {
         println!(
-            "\nfault injection (rate {}, retry budget {}): {total_faults} faults, \
-             {total_retries} retries across all runs",
-            fault.fault_rate, fault.retry_budget
+            "\n{}",
+            fault_summary(fault, completed, halted, total_faults, total_retries)
         );
         if total_faults != total_retries {
             eprintln!("FAIL: {total_faults} faults but {total_retries} retries — lost work");
@@ -322,8 +326,48 @@ fn run_or_smoke(options: &Options) -> ExitCode {
         eprintln!("\n{failures} failure(s)");
         return ExitCode::FAILURE;
     }
-    println!("\nall runs stayed within the window bound");
+    println!("\n{}", window_summary(completed, halted));
     ExitCode::SUCCESS
+}
+
+/// The fault-injection line of a `run`/`smoke` summary. Runs that
+/// `--halt-after` stopped at a checkpoint never reach their totals, so they
+/// are not counted as runs that injected nothing.
+fn fault_summary(
+    fault: &FaultConfig,
+    completed: usize,
+    halted: usize,
+    faults: u64,
+    retries: u64,
+) -> String {
+    let knobs = format!(
+        "fault injection (rate {}, retry budget {})",
+        fault.fault_rate, fault.retry_budget
+    );
+    match (completed, halted) {
+        (0, _) => format!("{knobs}: no completed run was checked"),
+        (_, 0) => format!("{knobs}: {faults} faults, {retries} retries across all runs"),
+        _ => format!(
+            "{knobs}: {faults} faults, {retries} retries across the {completed} completed \
+             run(s); {halted} halted run(s) not counted"
+        ),
+    }
+}
+
+/// The closing line of a successful `run`/`smoke`: what the window check
+/// covered.
+fn window_summary(completed: usize, halted: usize) -> String {
+    match (completed, halted) {
+        (0, _) => format!(
+            "no completed run was checked: --halt-after stopped all {halted} run(s) at a \
+             checkpoint"
+        ),
+        (_, 0) => "all runs stayed within the window bound".to_string(),
+        _ => format!(
+            "the {completed} completed run(s) stayed within the window bound; {halted} \
+             halted run(s) were not checked"
+        ),
+    }
 }
 
 /// Table II equivalence: every benchmark × backend cell, eager vs streaming,
@@ -518,5 +562,39 @@ fn main() -> ExitCode {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// When `--halt-after` stopped every run, the summary must not report
+    /// zero faults or a clean window bound for work that never completed.
+    #[test]
+    fn summary_of_halted_runs_claims_nothing() {
+        let fault = FaultConfig::default()
+            .with_fault_rate(0.3)
+            .with_retry_budget(3);
+        let line = fault_summary(&fault, 0, 1, 0, 0);
+        assert_eq!(
+            line,
+            "fault injection (rate 0.3, retry budget 3): no completed run was checked"
+        );
+        let line = window_summary(0, 1);
+        assert!(line.starts_with("no completed run was checked"), "{line}");
+        assert!(!line.contains("all runs"), "{line}");
+
+        // Completed runs keep the full summary; halted ones are set apart.
+        assert_eq!(
+            fault_summary(&fault, 2, 0, 5, 5),
+            "fault injection (rate 0.3, retry budget 3): 5 faults, 5 retries across all runs"
+        );
+        assert_eq!(
+            window_summary(2, 0),
+            "all runs stayed within the window bound"
+        );
+        assert!(fault_summary(&fault, 2, 1, 5, 5).contains("1 halted run(s) not counted"));
+        assert!(window_summary(2, 1).contains("1 halted run(s) were not checked"));
     }
 }

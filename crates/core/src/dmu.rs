@@ -189,9 +189,10 @@ pub struct Dmu {
     rla: ListArray,
     ready: ReadyQueue,
     stats: DmuStats,
-    /// Reusable scratch for the `add_dependence` pre-check: per-target
-    /// successor-list push counts, so no allocation happens per operation.
-    req_scratch: Vec<(TaskId, u32)>,
+    /// Reusable scratch for the `add_dependence` pre-check: the targets of
+    /// the operation's successor-list pushes, so no allocation happens per
+    /// operation.
+    req_scratch: Vec<TaskId>,
 }
 
 impl Dmu {
@@ -340,16 +341,20 @@ impl Dmu {
         Ok(DmuResult::new(id, accesses))
     }
 
-    /// Looks up (or allocates) the Dependence Table entry for `addr`.
+    /// Returns the Dependence Table entry for `addr`: `existing`, the result
+    /// of the DAT lookup the caller already made, or a freshly allocated
+    /// entry when that lookup missed. Either way the modeled DAT access is
+    /// charged here.
     fn dep_id_for(
         &mut self,
         addr: DepAddr,
         size: u64,
+        existing: Option<DepId>,
         accesses: &mut AccessCounter,
     ) -> Result<DepId, DmuError> {
         accesses.touch(DmuStructure::Dat);
-        if let Some(raw) = self.dat.lookup(addr.raw(), size) {
-            return Ok(DepId::new(raw));
+        if let Some(id) = existing {
+            return Ok(id);
         }
         // A new dependence needs a DAT entry and a reader list.
         if self.rla.free_entries() < 1 {
@@ -384,22 +389,17 @@ impl Dmu {
     /// also sits in the reader list, or a task registered as reader twice),
     /// and earlier pushes fill the tail entry that a per-push
     /// `push_needs_new_entry` probe against pre-operation state would still
-    /// see as free. `succ_pushes` is caller-provided scratch.
+    /// see as free. The push targets are gathered into `succ_pushes`
+    /// (caller-provided scratch), sorted, and counted run by run, so a
+    /// writer after N readers costs O(N log N) rather than a linear search
+    /// per reader.
     fn add_dependence_requirements(
         &self,
         task: TaskId,
         dep: Option<DepId>,
         dir: DepDirection,
-        succ_pushes: &mut Vec<(TaskId, u32)>,
+        succ_pushes: &mut Vec<TaskId>,
     ) -> (usize, usize, usize) {
-        fn bump(pushes: &mut Vec<(TaskId, u32)>, target: TaskId) {
-            if let Some(entry) = pushes.iter_mut().find(|entry| entry.0 == target) {
-                entry.1 += 1;
-            } else {
-                pushes.push((target, 1));
-            }
-        }
-
         succ_pushes.clear();
         let mut needed_rla = 0;
         let needed_dla = usize::from(
@@ -410,18 +410,17 @@ impl Dmu {
         if let Some(dep_id) = dep {
             if let Some(writer) = self.deps.last_writer(dep_id) {
                 if writer != task {
-                    bump(succ_pushes, writer);
+                    succ_pushes.push(writer);
                 }
             }
             let reader_list = self.deps.reader_list(dep_id);
             if dir.writes() {
-                for reader_raw in self.rla.iter(reader_list) {
-                    let reader = TaskId::new(reader_raw);
-                    if reader == task {
-                        continue;
-                    }
-                    bump(succ_pushes, reader);
-                }
+                succ_pushes.extend(
+                    self.rla
+                        .iter(reader_list)
+                        .map(TaskId::new)
+                        .filter(|&reader| reader != task),
+                );
             } else if self.rla.push_needs_new_entry(reader_list) {
                 needed_rla += 1;
             }
@@ -430,11 +429,12 @@ impl Dmu {
             // first reader or writer; a read needs one RLA slot which the
             // fresh head entry always provides.
         }
+        succ_pushes.sort_unstable();
         let needed_sla = succ_pushes
-            .iter()
-            .map(|&(target, pushes)| {
+            .chunk_by(|a, b| a == b)
+            .map(|pushes| {
                 self.sla
-                    .new_entries_for_pushes(self.tasks.successor_list(target), pushes as usize)
+                    .new_entries_for_pushes(self.tasks.successor_list(pushes[0]), pushes.len())
             })
             .sum();
         (needed_sla, needed_dla, needed_rla)
@@ -531,7 +531,7 @@ impl Dmu {
             return Err(self.stall(StallReason::ReaderLaFull));
         }
 
-        let dep = self.dep_id_for(addr, size, &mut accesses)?;
+        let dep = self.dep_id_for(addr, size, existing, &mut accesses)?;
 
         // Insert depID in the dependence list of taskID.
         let dep_list = self.tasks.dependence_list(task);
@@ -2155,6 +2155,59 @@ mod dmu_lockstep {
                 rig.dmu.stats().stalls > 0,
                 "the tiny lockstep DMU should have stalled (seed {seed})"
             );
+        }
+    }
+
+    /// A writer after a fan of more than a thousand readers of one address,
+    /// some of them registered twice: the successor-list pre-check counts
+    /// pushes per target over the whole reader list and must match the
+    /// naive per-target search exactly. With one element per list entry a
+    /// twice-registered reader needs a second successor entry, so the
+    /// writer stalls until finished readers free enough of them.
+    #[test]
+    fn writer_after_a_wide_reader_fan_matches_naive_in_lockstep() {
+        const READERS: u64 = 1100;
+        for elems in [1, 4] {
+            let config = DmuConfig {
+                successor_la_entries: READERS as usize + 10,
+                dependence_la_entries: 2048,
+                reader_la_entries: 2048,
+                elems_per_list_entry: elems,
+                ..DmuConfig::default()
+            };
+            let mut rig = LockstepRig::new(config);
+            let desc_of = |i: u64| DescriptorAddr(0x10_0000 + i * 64);
+            let block = DepAddr(0x80_0000);
+            let mut twice = 0;
+            for i in 0..READERS {
+                let d = desc_of(i);
+                assert!(rig.create(d), "reader {i} must fit");
+                assert!(rig.add_dep(d, block, DepDirection::In));
+                if i % 37 == 5 {
+                    assert!(rig.add_dep(d, block, DepDirection::In));
+                    twice += 1;
+                }
+                rig.submit(d);
+            }
+            assert!(twice >= 29);
+
+            let writer = desc_of(READERS);
+            assert!(rig.create(writer));
+            let mut stalls = 0;
+            while !rig.add_dep(writer, block, DepDirection::InOut) {
+                stalls += 1;
+                let d = rig.pop_ready().expect("stalled with no ready reader");
+                rig.finish(d);
+            }
+            assert_eq!(stalls > 0, elems == 1, "elems {elems}: {stalls} stalls");
+            rig.submit(writer);
+            rig.check_aggregates();
+
+            while let Some(d) = rig.pop_ready() {
+                rig.finish(d);
+            }
+            assert!(rig.dmu.is_drained() && rig.naive.is_drained());
+            rig.check_aggregates();
         }
     }
 

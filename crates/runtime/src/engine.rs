@@ -181,6 +181,13 @@ pub trait DependenceEngine: Send {
     /// Panics if `task` is not in flight (created and unfinished).
     fn fail_task(&mut self, now: Cycle, task: TaskRef, core: usize) -> Cycle;
 
+    /// The task whose creation stalled part-way and waits to be resumed by
+    /// the next [`create_task`](DependenceEngine::create_task) call, if any.
+    /// A snapshot load checks it against the driver's creation cursor.
+    fn stalled_creation(&self) -> Option<TaskRef> {
+        None
+    }
+
     /// Hardware statistics, if this engine models a hardware tracker.
     fn hardware_report(&self) -> Option<HardwareReport> {
         None
@@ -924,6 +931,10 @@ impl DependenceEngine for HardwareEngine {
             "{task} failed without an allocated descriptor slot"
         );
         Cycle::ZERO
+    }
+
+    fn stalled_creation(&self) -> Option<TaskRef> {
+        self.pending.as_ref().map(|p| p.task)
     }
 
     fn hardware_report(&self) -> Option<HardwareReport> {

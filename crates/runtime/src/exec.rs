@@ -514,6 +514,12 @@ trait TaskFeed {
     fn spec(&self, task: TaskRef) -> &TaskSpec;
     /// True if the spec of `task` is held: fetched and not yet released.
     fn holds(&self, task: TaskRef) -> bool;
+    /// Index of the next task a fresh [`fetch`](TaskFeed::fetch) takes from
+    /// the source (the number fetched so far), or `None` for a feed that
+    /// serves every index at any time.
+    fn cursor(&self) -> Option<usize> {
+        None
+    }
     /// Drops the spec of a finished task.
     fn release(&mut self, task: TaskRef);
     /// Specs currently held resident.
@@ -725,6 +731,10 @@ impl<S: TaskSource + ?Sized> TaskFeed for StreamFeed<'_, S> {
 
     fn holds(&self, task: TaskRef) -> bool {
         self.in_flight.contains_key(&task.index())
+    }
+
+    fn cursor(&self) -> Option<usize> {
+        Some(self.next_index)
     }
 
     fn release(&mut self, task: TaskRef) {
@@ -990,9 +1000,17 @@ impl DriverState {
     }
 
     /// Rejects a decoded DRIVER section that does not fit a `num_cores` run
-    /// or disagrees with the restored `feed`: every running task must be
-    /// created, unfinished, held by the feed and running on one core only.
-    fn check(&self, num_cores: usize, feed: &impl TaskFeed) -> Result<(), SnapshotError> {
+    /// or disagrees with the restored `feed` and engine: the feed's cursor
+    /// must sit at `next_create`, or one past it when the engine's `stalled`
+    /// creation is `next_create` and the feed holds it in flight, and every
+    /// running task must be created, unfinished, held by the feed and
+    /// running on one core only.
+    fn check(
+        &self,
+        num_cores: usize,
+        feed: &impl TaskFeed,
+        stalled: Option<TaskRef>,
+    ) -> Result<(), SnapshotError> {
         same("DRIVER running cores", self.running.len(), num_cores)?;
         same("DRIVER idle_since cores", self.idle_since.len(), num_cores)?;
         let words = IdleSet::new(num_cores).words.len();
@@ -1004,6 +1022,29 @@ impl DriverState {
                     "DRIVER records {finished} finished tasks but only {created} created"
                 ),
             });
+        }
+        // A stalled creation has fetched its spec but not advanced
+        // `next_create`.
+        let resumes = stalled == Some(TaskRef(created));
+        let corrupt = |context: String| Err(SnapshotError::Corrupt { context });
+        if let Some(cursor) = feed.cursor() {
+            if cursor != created + usize::from(resumes) {
+                return corrupt(format!(
+                    "DRIVER creates task {created} next but FEED has fetched {cursor} tasks"
+                ));
+            }
+        }
+        if let Some(task) = stalled {
+            if !resumes {
+                return corrupt(format!(
+                    "ENGINE resumes the creation of {task}, but DRIVER creates task {created}"
+                ));
+            }
+            if !feed.holds(task) {
+                return corrupt(format!(
+                    "DRIVER resumes the creation of {task}, but FEED does not hold it"
+                ));
+            }
         }
         let mut tasks: Vec<TaskRef> = self.running.iter().flatten().map(|rt| rt.task).collect();
         tasks.sort_unstable();
@@ -1224,7 +1265,8 @@ impl<'a, F: TaskFeed> Driver<'a, F> {
         self.engine.load_state(&mut r)?;
         r.expect_end("ENGINE")?;
         self.state = snapshot::from_payload(snap.section(section::DRIVER)?, "DRIVER")?;
-        self.state.check(num_cores, &self.feed)?;
+        self.state
+            .check(num_cores, &self.feed, self.engine.stalled_creation())?;
         self.fault_state = snapshot::from_payload(snap.section(section::FAULT)?, "FAULT")?;
         same("FAULT cores", self.fault_state.num_cores(), num_cores)?;
         if self.config.trace_schedule {
@@ -2403,6 +2445,24 @@ mod tests {
 
         let err = with_driver(&|s| s.finished = s.next_create + 1).unwrap_err();
         assert!(err.to_string().contains("DRIVER records"), "{err}");
+
+        // `next_create` off the FEED cursor in either direction (the first
+        // tripped the deadlock assert, the second a DMU panic).
+        let state: DriverState =
+            snapshot::from_payload(snap.section(section::DRIVER).unwrap(), "DRIVER").unwrap();
+        assert!(
+            state.finished + 1 < state.next_create,
+            "needs tasks in flight"
+        );
+        for shift in [2, -1] {
+            let err = with_driver(&|s| s.next_create = s.next_create.saturating_add_signed(shift))
+                .unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Corrupt { .. })
+                    && err.to_string().contains("FEED has fetched"),
+                "{shift}: {err}"
+            );
+        }
 
         let err = with_driver(&|s| {
             let rt = s.running.iter_mut().flatten().next().expect("a busy core");

@@ -31,6 +31,7 @@ mod stats;
 mod streaming;
 mod sweep;
 mod trace;
+mod trace_reference;
 
 use tdm::prelude::*;
 

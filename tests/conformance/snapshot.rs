@@ -377,6 +377,31 @@ fn driver_running_a_task_outside_the_feed_is_rejected() {
     assert_driver_rejected(&workload, &fields.patched_into(&snap), &config);
 }
 
+/// A CRC-valid DRIVER section whose next creation lies past the FEED
+/// cursor is refused with a typed error, not run into the deadlock panic.
+#[test]
+fn driver_creating_past_the_feed_cursor_is_rejected() {
+    let (workload, config, snap) = first_tdm_checkpoint();
+    let mut fields = DriverFields::decode(&snap);
+    fields.next_create += 2;
+    assert_driver_rejected(&workload, &fields.patched_into(&snap), &config);
+}
+
+/// A CRC-valid DRIVER section whose next creation lies behind the FEED
+/// cursor (re-creating a task already fetched) is refused with a typed
+/// error, not a DMU panic.
+#[test]
+fn driver_creating_behind_the_feed_cursor_is_rejected() {
+    let (workload, config, snap) = first_tdm_checkpoint();
+    let mut fields = DriverFields::decode(&snap);
+    assert!(
+        fields.finished < fields.next_create - 1,
+        "needs tasks in flight"
+    );
+    fields.next_create -= 1;
+    assert_driver_rejected(&workload, &fields.patched_into(&snap), &config);
+}
+
 /// CRC-32 of the second checkpoint of [`pinned_snapshot_bytes_are_stable`]'s
 /// run, recorded when the format was last changed on purpose.
 const PINNED_SNAPSHOT_CRC: u32 = 0xfc8a_83f3;
