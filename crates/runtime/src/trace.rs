@@ -47,16 +47,6 @@
 //! so it is put in front once the source is drained; its two floats use
 //! `{:?}`, Rust's shortest round-trip form.
 //!
-//! # The in-memory layout
-//!
-//! [`TraceSource`] keeps a parsed trace as a flat arena: each distinct
-//! kind once, one dependence list for the whole trace, and per task a kind
-//! index, a duration and the `[start, end)` range of its dependences in
-//! that list. Parsing allocates per distinct kind, not per task, and
-//! numbers are read by a digit loop that accepts exactly what
-//! `str::parse::<u64>` and `u64::from_str_radix(_, 16)` accept. Replay
-//! assembles each task's owned [`TaskSpec`] on demand.
-//!
 //! # Example
 //!
 //! ```
@@ -78,8 +68,6 @@
 use std::fmt;
 
 use tdm_core::ids::DepDirection;
-use tdm_sim::clock::Cycle;
-use tdm_sim::fast_map::FastMap;
 
 use crate::stream::TaskSource;
 use crate::task::{DependenceSpec, TaskSpec};
@@ -216,42 +204,20 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// A parsed trace, replayed in creation order as a [`TaskSource`].
+/// A parsed trace: a materialised task list replayed in creation order as a
+/// [`TaskSource`].
 ///
 /// Unlike the closed-form generators, a trace's tasks come from a file, so
 /// they are held in memory (the file was materialised anyway); the
 /// checkpoint cursor is simply the replay position, making trace runs
 /// checkpointable and resumable like any generator-backed run.
-///
-/// The tasks live in a flat arena (see the module docs): each distinct kind
-/// is stored once, and every task is a kind index, a duration and a range
-/// into one shared dependence list. Parsing therefore allocates per
-/// distinct kind rather than per task, and cloning a source copies a few
-/// flat vectors. [`next_task`](TaskSource::next_task) assembles the same
-/// owned [`TaskSpec`] a per-task list would hand out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSource {
     name: String,
     locality_benefit: f64,
     duration_jitter: f64,
-    /// Distinct task kinds, in order of first appearance.
-    kinds: Vec<String>,
-    /// One record per task, in creation order.
-    tasks: Vec<TaskRecord>,
-    /// Every task's dependences, concatenated in creation order.
-    deps: Vec<DependenceSpec>,
+    tasks: Vec<TaskSpec>,
     next: usize,
-}
-
-/// One task of a [`TraceSource`] arena.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TaskRecord {
-    /// Index into [`TraceSource::kinds`].
-    kind: usize,
-    duration: Cycle,
-    /// The task's dependences are `deps[start..end]`.
-    start: usize,
-    end: usize,
 }
 
 impl TraceSource {
@@ -284,13 +250,7 @@ impl TraceSource {
         let mut locality: Option<f64> = None;
         let mut jitter: Option<f64> = None;
         let mut declared: Option<usize> = None;
-        // A task line takes at least six bytes (`t k 0\n`): that bounds what
-        // the `tasks` header may reserve, so a hostile count cannot.
-        let max_tasks = text.len() / 6;
-        let mut kinds: Vec<String> = Vec::new();
-        let mut kind_index: FastMap<&str, usize> = FastMap::default();
-        let mut tasks: Vec<TaskRecord> = Vec::new();
-        let mut deps: Vec<DependenceSpec> = Vec::new();
+        let mut tasks: Vec<TaskSpec> = Vec::new();
 
         for (line, text) in lines {
             let mut fields = text.split_ascii_whitespace();
@@ -340,42 +300,29 @@ impl TraceSource {
                         }
                         _ => {
                             duplicate(declared.is_some())?;
-                            let count: usize =
-                                value.parse().map_err(|e| TraceError::BadHeader {
-                                    line,
-                                    message: format!("tasks {value:?}: {e}"),
-                                })?;
-                            tasks.reserve(count.min(max_tasks));
-                            declared = Some(count);
+                            declared = Some(value.parse().map_err(|e| TraceError::BadHeader {
+                                line,
+                                message: format!("tasks {value:?}: {e}"),
+                            })?);
                         }
                     }
                 }
                 "t" => {
                     let kind = fields.next().ok_or(TraceError::TruncatedRecord { line })?;
                     let cost = fields.next().ok_or(TraceError::TruncatedRecord { line })?;
-                    let cycles = parse_decimal(cost).ok_or_else(|| TraceError::BadCost {
+                    let cycles: u64 = cost.parse().map_err(|_| TraceError::BadCost {
                         line,
                         token: cost.to_string(),
                     })?;
-                    let start = deps.len();
+                    let mut deps = Vec::new();
                     for token in fields {
                         deps.push(parse_dependence(line, token)?);
                     }
-                    // Consecutive tasks mostly share a kind: check the last
-                    // one before hashing.
-                    let kind = match tasks.last() {
-                        Some(last) if kinds.get(last.kind).is_some_and(|k| k == kind) => last.kind,
-                        _ => *kind_index.entry(kind).or_insert_with(|| {
-                            kinds.push(kind.to_string());
-                            kinds.len() - 1
-                        }),
-                    };
-                    tasks.push(TaskRecord {
+                    tasks.push(TaskSpec::new(
                         kind,
-                        duration: Cycle::new(cycles),
-                        start,
-                        end: deps.len(),
-                    });
+                        tdm_sim::clock::Cycle::new(cycles),
+                        deps,
+                    ));
                 }
                 other => {
                     return Err(TraceError::UnknownRecord {
@@ -404,9 +351,7 @@ impl TraceSource {
             name,
             locality_benefit: locality.unwrap_or(0.0),
             duration_jitter: jitter.unwrap_or(crate::task::DEFAULT_DURATION_JITTER),
-            kinds,
             tasks,
-            deps,
             next: 0,
         })
     }
@@ -432,105 +377,14 @@ impl TraceSource {
 
     /// Collects the trace into an eager [`Workload`](crate::task::Workload).
     pub fn into_workload(self) -> crate::task::Workload {
-        let tasks = (0..self.tasks.len())
-            .filter_map(|index| self.spec(index))
-            .collect();
-        let mut workload = crate::task::Workload::new(self.name, tasks);
+        let mut workload = crate::task::Workload::new(self.name, self.tasks);
         workload.locality_benefit = self.locality_benefit;
         workload.duration_jitter = self.duration_jitter;
         workload
     }
-
-    /// The owned spec of task `index`, or `None` past the end.
-    fn spec(&self, index: usize) -> Option<TaskSpec> {
-        let task = self.tasks.get(index)?;
-        Some(TaskSpec {
-            kind: self.kinds.get(task.kind)?.clone(),
-            duration: task.duration,
-            deps: self.deps.get(task.start..task.end)?.to_vec(),
-        })
-    }
 }
 
-/// Parses a decimal `u64` exactly as `str::parse::<u64>` does.
-fn parse_decimal(token: &str) -> Option<u64> {
-    parse_digits(token, 10)
-}
-
-/// Parses hex digits exactly as `u64::from_str_radix(_, 16)` does.
-fn parse_hex(token: &str) -> Option<u64> {
-    parse_digits(token, 16)
-}
-
-/// The digit loop behind [`parse_decimal`] and [`parse_hex`], without the
-/// standard library's generic machinery: an optional leading `+`, then at
-/// least one digit of `radix` (letters in either case), and no overflow.
-fn parse_digits(token: &str, radix: u32) -> Option<u64> {
-    let digits = token.strip_prefix('+').unwrap_or(token);
-    if digits.is_empty() {
-        return None;
-    }
-    digits.bytes().try_fold(0u64, |value, byte| {
-        let digit = char::from(byte).to_digit(radix)?;
-        value
-            .checked_mul(u64::from(radix))?
-            .checked_add(u64::from(digit))
-    })
-}
-
-/// Parses a dependence spelled as the writer spells it — `in`, `out` or
-/// `inout`, then `:0x`, lowercase hex digits, `:` and decimal digits — in one
-/// pass over its bytes. Anything else (and any overflow) returns `None`, and
-/// [`parse_dependence`] parses the token field by field instead; whatever
-/// this accepts, that path accepts with the same value.
-fn parse_canonical_dependence(token: &str) -> Option<DependenceSpec> {
-    let (direction, rest) = if let Some(rest) = token.strip_prefix("in:0x") {
-        (DepDirection::In, rest)
-    } else if let Some(rest) = token.strip_prefix("out:0x") {
-        (DepDirection::Out, rest)
-    } else {
-        (DepDirection::InOut, token.strip_prefix("inout:0x")?)
-    };
-    let mut bytes = rest.bytes();
-    let mut addr = 0u64;
-    let mut digits = 0;
-    loop {
-        let nibble = match bytes.next()? {
-            byte @ b'0'..=b'9' => byte - b'0',
-            byte @ b'a'..=b'f' => byte - b'a' + 10,
-            b':' if digits > 0 => break,
-            _ => return None,
-        };
-        if addr >> 60 != 0 {
-            return None;
-        }
-        addr = addr << 4 | u64::from(nibble);
-        digits += 1;
-    }
-    let mut size = 0u64;
-    let mut digits = 0;
-    for byte in bytes {
-        let digit = byte.wrapping_sub(b'0');
-        if digit > 9 {
-            return None;
-        }
-        size = size.checked_mul(10)?.checked_add(u64::from(digit))?;
-        digits += 1;
-    }
-    (digits > 0).then_some(DependenceSpec {
-        addr,
-        size,
-        direction,
-    })
-}
-
-/// Parses one `direction:0xaddr:size` dependence token, naming the first
-/// problem the way the format's reader always has: the field count, then
-/// the direction, then the address, then the size.
 fn parse_dependence(line: usize, token: &str) -> Result<DependenceSpec, TraceError> {
-    if let Some(dep) = parse_canonical_dependence(token) {
-        return Ok(dep);
-    }
     let bad_dep = || TraceError::BadDependence {
         line,
         token: token.to_string(),
@@ -555,9 +409,9 @@ fn parse_dependence(line: usize, token: &str) -> Result<DependenceSpec, TraceErr
     };
     let addr = addr
         .strip_prefix("0x")
-        .and_then(parse_hex)
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
         .ok_or_else(bad_dep)?;
-    let size = parse_decimal(size).ok_or_else(bad_dep)?;
+    let size: u64 = size.parse().map_err(|_| bad_dep())?;
     Ok(DependenceSpec {
         addr,
         size,
@@ -571,7 +425,7 @@ impl TaskSource for TraceSource {
     }
 
     fn next_task(&mut self) -> Option<TaskSpec> {
-        let spec = self.spec(self.next)?;
+        let spec = self.tasks.get(self.next)?.clone();
         self.next += 1;
         Some(spec)
     }
@@ -635,10 +489,7 @@ pub fn dump(source: &mut dyn TaskSource) -> Result<String, TraceError> {
 /// than through `format!`, which would allocate a `String` per task and per
 /// dependence.
 fn write_task(out: &mut String, spec: &TaskSpec) -> Result<(), TraceError> {
-    // Printable ASCII holds no whitespace; only other kinds need the full
-    // Unicode check.
-    let printable = spec.kind.bytes().all(|byte| byte.is_ascii_graphic());
-    if spec.kind.is_empty() || !printable && spec.kind.chars().any(char::is_whitespace) {
+    if spec.kind.is_empty() || spec.kind.chars().any(char::is_whitespace) {
         return Err(TraceError::UnencodableKind {
             kind: spec.kind.clone(),
         });
@@ -721,6 +572,7 @@ mod tests {
     use super::*;
     use crate::stream::WorkloadSource;
     use crate::task::Workload;
+    use tdm_sim::clock::Cycle;
 
     fn sample() -> Workload {
         let mut w = Workload::new(
@@ -960,31 +812,6 @@ mod tests {
             out.clear();
             push_hex(&mut out, value);
             assert_eq!(out, format!("{value:x}"));
-        }
-        for token in [
-            "0",
-            "+7",
-            "+",
-            "",
-            "-1",
-            "007",
-            "ff",
-            "FF",
-            "1_0",
-            " 5",
-            "\u{663}",
-            "18446744073709551615",
-            "18446744073709551616",
-            "ffffffffffffffff",
-            "10000000000000000",
-            "0000000000000000000000001",
-        ] {
-            assert_eq!(parse_decimal(token), token.parse::<u64>().ok(), "{token:?}");
-            assert_eq!(
-                parse_hex(token),
-                u64::from_str_radix(token, 16).ok(),
-                "{token:?}"
-            );
         }
     }
 

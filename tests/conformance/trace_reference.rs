@@ -1,8 +1,8 @@
-//! The reference `tdmtrace v1` codec: the straightforward parser and writer
-//! the streaming writer and the arena parser of
-//! [`tdm::runtime::trace`] replaced. It keeps one owned [`TaskSpec`] per
-//! task, parses numbers with `str::parse`, and formats every record with
-//! `format!`. The differential test in `trace.rs` holds the production
+//! The reference `tdmtrace v1` codec: the straightforward writer that the
+//! streaming writer of [`tdm::runtime::trace`] replaced, and the parser that
+//! any faster reader must keep agreeing with. It gathers the whole source
+//! before writing, formats every record with `format!`, and parses numbers
+//! with `str::parse`. The differential test in `trace.rs` holds the production
 //! codec to it: identical bytes out of `dump`, identical `Result`s out of
 //! `parse` (equal tasks, or the same [`TraceError`] on the same line).
 
